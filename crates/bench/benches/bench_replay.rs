@@ -34,12 +34,9 @@ fn bench_replay(c: &mut Criterion) {
 
 fn bench_read_path(c: &mut Criterion) {
     use flor_bench::replay_read::{keys, ReadFixture};
-    use flor_chkpt::StoreFormat;
     let n = 2_000u64;
-    let seg = ReadFixture::build("crit-seg", StoreFormat::Segmented, n);
-    let v1 = ReadFixture::build("crit-v1", StoreFormat::FilePerCheckpoint, n);
+    let seg = ReadFixture::build("crit-seg", n);
     let seg_store = seg.open();
-    let v1_store = v1.open();
     let ks = keys(n);
 
     let mut group = c.benchmark_group("checkpoint_read");
@@ -49,14 +46,6 @@ fn bench_read_path(c: &mut Criterion) {
             let (block, seq) = &ks[i % ks.len()];
             i += 1;
             criterion::black_box(seg_store.get_bytes(block, *seq).unwrap())
-        })
-    });
-    let mut j = 0usize;
-    group.bench_function("get_file_per_ckpt_prepr", |b| {
-        b.iter(|| {
-            let (block, seq) = &ks[j % ks.len()];
-            j += 1;
-            criterion::black_box(v1_store.get(block, *seq).unwrap())
         })
     });
     group.finish();

@@ -1,24 +1,19 @@
 //! Checkpoint-compression measurement for the record hot path.
 //!
-//! Builds the same drifting-tensor workload — a large f32 slab of which a
-//! few percent of elements move per training iteration, the regime where
-//! "successive training checkpoints differ only slightly" — through two
-//! store configurations:
+//! Runs a drifting-tensor workload — a large f32 slab of which a few
+//! percent of elements move per training iteration, the regime where
+//! "successive training checkpoints differ only slightly" — through the
+//! store's write pipeline: XOR delta chains with keyframes every K
+//! versions, hash-chain LZ, and parallel chunked compression for large
+//! keyframes.
 //!
-//! - **pre_pr** — delta encoding off, single-threaded naive-scan LZ
-//!   ([`Compressor::Reference`]): the pre-delta pipeline, compressing (or
-//!   raw-storing) every full slab.
-//! - **delta** — the production pipeline: XOR delta chains with keyframes
-//!   every K versions, hash-chain LZ, and parallel chunked compression
-//!   for large keyframes.
-//!
-//! Measured per side: bytes on disk, per-checkpoint submit latency
-//! (median) and end-to-end submit throughput, and the sequential restore
-//! median through `get_bytes` on a fresh handle. The `bench_compress_json`
+//! Measured: bytes on disk, per-checkpoint submit latency (median) and
+//! end-to-end submit throughput, and the sequential restore median
+//! through `get_bytes` on a fresh handle. The `bench_compress_json`
 //! binary emits the committed `BENCH_compress.json`; `flor-sim`'s
 //! `cost::delta_cost` constants come from it.
 
-use flor_chkpt::{CheckpointStore, Compressor, StoreOptions, StoreStats};
+use flor_chkpt::{CheckpointStore, StoreOptions, StoreStats};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -60,7 +55,7 @@ pub fn payload_bytes(slab: &[f32]) -> Vec<u8> {
     slab.iter().flat_map(|f| f.to_le_bytes()).collect()
 }
 
-/// One side's measurements.
+/// One run's measurements.
 #[derive(Debug, Clone, Copy)]
 pub struct SideResult {
     /// Bytes on disk across all versions (stored payload bytes).
@@ -84,8 +79,8 @@ fn tmp(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs one side: writes `versions` drifting checkpoints of
-/// `floats` f32 elements through `opts`, then restores them all.
+/// Writes `versions` drifting checkpoints of `floats` f32 elements
+/// through `opts`, then restores them all.
 pub fn run_side(tag: &str, opts: StoreOptions, versions: u64, floats: usize) -> SideResult {
     let root = tmp(tag);
     // Materialize every version's payload up front: the measured quantity
@@ -139,26 +134,22 @@ pub fn run_side(tag: &str, opts: StoreOptions, versions: u64, floats: usize) -> 
     }
 }
 
-/// The pre-delta pipeline's options.
-pub fn pre_pr_options() -> StoreOptions {
-    StoreOptions {
-        delta_keyframe_interval: 0,
-        compressor: Compressor::Reference,
-        ..StoreOptions::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn drifting_workload_delta_beats_pre_pr_on_bytes() {
-        // Small instance of the committed benchmark: the delta pipeline
-        // must store several times fewer bytes on the drifting workload.
+        // Small instance of the committed benchmark: delta chains must
+        // store several times fewer bytes on the drifting workload than
+        // keyframes alone (`flor record --delta-keyframe 0`).
         let versions = 12u64;
         let floats = 64 * 1024; // 256 KiB payloads
-        let pre = run_side("t-pre", pre_pr_options(), versions, floats);
+        let keyframes_only = StoreOptions {
+            delta_keyframe_interval: 0,
+            ..StoreOptions::default()
+        };
+        let pre = run_side("t-pre", keyframes_only, versions, floats);
         let delta = run_side("t-delta", StoreOptions::default(), versions, floats);
         assert_eq!(pre.raw_bytes, delta.raw_bytes);
         assert!(

@@ -12,17 +12,14 @@
 //! `(offset: u16 LE, len: u8)` with `len` biased by the minimum match
 //! length (4).
 //!
-//! Two encoders emit that format:
-//!
-//! - [`compress`] — the production encoder: a **hash-chain match finder**
-//!   (per 4-byte-prefix chains walked newest-first, bounded by
-//!   [`MAX_CHAIN`]) that finds the longest match among recent candidates
-//!   instead of only the single most recent one.
-//! - [`compress_reference`] — the original single-entry-table matcher,
-//!   kept bit-for-bit as the *pre-PR baseline*: `bench_compress_json`
-//!   measures the production pipeline against it, and the differential
-//!   tests use it as an oracle (both encoders' output must decompress to
-//!   identical bytes through the one shared [`decompress`]).
+//! [`compress`] emits that format with a **hash-chain match finder**
+//! (per 4-byte-prefix chains walked newest-first, bounded by
+//! [`MAX_CHAIN`]) that finds the longest match among recent candidates
+//! instead of only the single most recent one. The original
+//! single-entry-table matcher survives bit-for-bit as a test-only oracle:
+//! the differential tests require both encoders' output to decompress to
+//! identical bytes through the one shared [`decompress`], which keeps
+//! streams written by the older encoder readable.
 //!
 //! Large payloads additionally go through the **chunked frame**
 //! ([`compress_chunked`]): the input is split into fixed-size chunks, each
@@ -294,11 +291,11 @@ pub fn compress_with_effort(input: &[u8], effort: u8) -> Vec<u8> {
     w.finish()
 }
 
-/// The original single-entry-hash-table encoder, kept as the pre-PR
-/// baseline for `bench_compress_json` and as a differential-test oracle.
-/// Emits the same token format as [`compress`] (one shared
-/// [`decompress`] reads both).
-pub fn compress_reference(input: &[u8]) -> Vec<u8> {
+/// The original single-entry-hash-table encoder, kept as a
+/// differential-test oracle. Emits the same token format as [`compress`]
+/// (one shared [`decompress`] reads both).
+#[cfg(test)]
+fn compress_reference(input: &[u8]) -> Vec<u8> {
     let mut w = TokenWriter::new(input.len() / 2 + 16);
     put_varint(&mut w.out, input.len() as u64);
     w.start_tokens();
@@ -340,7 +337,8 @@ pub fn compress_reference(input: &[u8]) -> Vec<u8> {
     w.finish()
 }
 
-/// Decompresses bytes produced by [`compress`] or [`compress_reference`].
+/// Decompresses bytes produced by [`compress`] or by the original
+/// single-entry-table encoder (same token format).
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, CompressError> {
     if data.len() < 3 || data[0..2] != MAGIC {
         return Err(err("bad magic"));

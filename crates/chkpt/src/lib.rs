@@ -47,8 +47,8 @@ pub use background::{Materializer, MaterializerStats, Payload, SerializeSnapshot
 pub use codec::{decode, encode, encode_into, ByteSource, CVal, CodecError, EncodePool, LazyBytes};
 pub use dedup::DedupIndex;
 pub use store::{
-    CheckpointStore, CkptMeta, CompactionReport, Compressor, Durability, RecoveryReport,
-    SegmentRead, StoreError, StoreFormat, StoreOptions, StoreStats, WriteBatch,
+    CheckpointStore, CkptMeta, CompactionReport, Durability, RecoveryReport, StoreError,
+    StoreOptions, StoreStats, WriteBatch,
 };
 
 // Byte-buffer types used in the public API (`ByteSource::write_to`,

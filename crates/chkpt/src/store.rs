@@ -69,9 +69,9 @@
 //! [`CheckpointStore::get_bytes`] resolves `(block, seq)` through a
 //! *sharded* in-memory index (16 shards, read-write locks, borrowed-key
 //! lookups — no allocation and no global lock on the read hot path), maps
-//! the segment into a shared refcounted buffer (one `fs::read` per segment,
-//! cached and shared by every reader), and returns a [`Bytes`] slice of that
-//! buffer. Raw-stored payloads are returned without any copy at all;
+//! the segment into a shared refcounted buffer (one mapping per segment —
+//! a whole-file `fs::read` where mapping is unavailable — cached and shared
+//! by every reader), and returns a [`Bytes`] slice of that buffer. Raw-stored payloads are returned without any copy at all;
 //! compressed payloads pay exactly the decompression. The old
 //! [`CheckpointStore::get`] survives as a thin `Vec<u8>` compatibility
 //! wrapper. Every read is CRC-verified, so corruption surfaces as
@@ -238,56 +238,12 @@ pub enum Durability {
     GroupCommit,
 }
 
-/// On-disk write layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreFormat {
-    /// Pack checkpoints into large append-only segment files (the default
-    /// engine; what every new store should use).
-    #[default]
-    Segmented,
-    /// One file per checkpoint under `ckpt/` — the v1 layout, kept
-    /// writable for compatibility testing and before/after benchmarks.
-    FilePerCheckpoint,
-}
-
-/// Which LZ encoder the plain (non-delta) stage path uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Compressor {
-    /// Hash-chain match finder + parallel chunked frames for large
-    /// payloads — the production pipeline.
-    #[default]
-    Pipeline,
-    /// The pre-delta single-threaded naive-scan encoder
-    /// ([`crate::compress::compress_reference`]), kept writable for
-    /// before/after benchmarks (`bench_compress_json`) the same way
-    /// [`StoreFormat::FilePerCheckpoint`] is.
-    Reference,
-}
-
-/// How a cold segment's bytes reach the in-memory buffer pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SegmentRead {
-    /// Memory-map the segment file (Linux raw-syscall backend); the kernel
-    /// faults in only the pages a read actually touches, and the buffer
-    /// stays reclaimable page cache instead of pinned heap. Falls back to
-    /// [`SegmentRead::WholeFile`] automatically on platforms without a
-    /// mapping backend.
-    #[default]
-    Mmap,
-    /// Read the whole segment file into heap (`fs::read`) — the pre-tier
-    /// engine's behavior, kept selectable for before/after benchmarks.
-    WholeFile,
-}
-
-/// Open-time knobs. [`StoreOptions::default`] is a segmented, buffered
-/// store with an 8 MiB segment roll target.
+/// Open-time knobs. [`StoreOptions::default`] is a buffered store with an
+/// 8 MiB segment roll target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreOptions {
     /// Put-path durability policy.
     pub durability: Durability,
-    /// Write layout for new checkpoints (either way, both layouts stay
-    /// readable).
-    pub format: StoreFormat,
     /// Roll the active segment once it grows past this many bytes.
     pub segment_target_bytes: u64,
     /// Inspect without mutating anything on disk: open-time recovery only
@@ -308,23 +264,16 @@ pub struct StoreOptions {
     /// and the chain walk aren't worth it, and tiny payloads compress or
     /// store raw just fine).
     pub delta_min_bytes: u64,
-    /// LZ encoder for the plain (non-delta) stage path.
-    pub compressor: Compressor,
-    /// How cold segment buffers are faulted into memory.
-    pub segment_read: SegmentRead,
 }
 
 impl Default for StoreOptions {
     fn default() -> Self {
         StoreOptions {
             durability: Durability::default(),
-            format: StoreFormat::default(),
             segment_target_bytes: DEFAULT_SEGMENT_TARGET_BYTES,
             read_only: false,
             delta_keyframe_interval: DEFAULT_DELTA_KEYFRAME_INTERVAL,
             delta_min_bytes: DEFAULT_DELTA_MIN_BYTES,
-            compressor: Compressor::default(),
-            segment_read: SegmentRead::default(),
         }
     }
 }
@@ -436,11 +385,10 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-/// The pre-PR byte-at-a-time CRC32 — bit-identical to [`crc32`], kept as
-/// the differential oracle and as part of the [`Compressor::Reference`]
-/// pipeline so before/after benchmarks measure the true pre-PR submit
-/// cost.
-pub fn crc32_reference(data: &[u8]) -> u32 {
+/// The byte-at-a-time CRC32 — bit-identical to [`crc32`], kept as the
+/// differential-test oracle for the sliced loop.
+#[cfg(test)]
+fn crc32_reference(data: &[u8]) -> u32 {
     static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
     let table = TABLE.get_or_init(|| {
         let mut t = [0u32; 256];
@@ -979,15 +927,12 @@ type BlockMap = HashMap<String, BTreeMap<u64, IndexEntry>>;
 /// Picks the stored representation for one payload: a delta frame when it
 /// clearly wins (≤ 50% of raw — compression skipped entirely), otherwise
 /// whichever of {marginal frame, compressed bytes, raw payload} is
-/// smallest (raw only where the layout supports it, i.e. segments).
-/// Shared by [`WriteBatch::stage`] and the compaction re-encode walk so
-/// both sides apply exactly one policy. Returns
+/// smallest. Shared by [`WriteBatch::stage`] and the compaction re-encode
+/// walk so both sides apply exactly one policy. Returns
 /// `(stored, raw_stored, delta_link)`.
 fn arbitrate_stored(
     encoded: Option<(Vec<u8>, u64, u32)>,
     payload: &[u8],
-    compressor: Compressor,
-    raw_allowed: bool,
     effort: u8,
 ) -> (Vec<u8>, bool, Option<(u64, u32)>) {
     match encoded {
@@ -995,17 +940,12 @@ fn arbitrate_stored(
             (frame, false, Some((base_seq, depth)))
         }
         other => {
-            let compressed = match compressor {
-                Compressor::Pipeline => compress_auto_effort(payload, effort),
-                Compressor::Reference => crate::compress::compress_reference(payload),
-            };
+            let compressed = compress_auto_effort(payload, effort);
             match other {
                 Some((frame, base_seq, depth)) if frame.len() < compressed.len() => {
                     (frame, false, Some((base_seq, depth)))
                 }
-                _ if raw_allowed && compressed.len() >= payload.len() => {
-                    (payload.to_vec(), true, None)
-                }
+                _ if compressed.len() >= payload.len() => (payload.to_vec(), true, None),
                 _ => (compressed, false, None),
             }
         }
@@ -1179,7 +1119,6 @@ impl CheckpointStore {
                 )));
             }
         } else {
-            fs::create_dir_all(root.join("ckpt"))?;
             fs::create_dir_all(root.join("seg"))?;
             fs::create_dir_all(root.join("artifacts"))?;
         }
@@ -1240,11 +1179,6 @@ impl CheckpointStore {
     /// The durability policy this store was opened with.
     pub fn durability(&self) -> Durability {
         self.opts.durability
-    }
-
-    /// The write layout this store was opened with.
-    pub fn format(&self) -> StoreFormat {
-        self.opts.format
     }
 
     /// What open-time recovery found (missing data, orphans, repairs).
@@ -2236,24 +2170,22 @@ impl CheckpointStore {
         }
     }
 
-    /// One segment file → shared buffer. Under [`SegmentRead::Mmap`] the
-    /// buffer is a file-backed mapping (the kernel faults in only the
-    /// pages reads touch; the memory stays reclaimable page cache), with a
-    /// transparent whole-file heap fallback when mapping is unsupported or
-    /// refused. `NotFound` from the open propagates untouched — both the
-    /// relocation retry and the spool fault-back depend on it.
+    /// One segment file → shared buffer: a file-backed mapping (the kernel
+    /// faults in only the pages reads touch; the memory stays reclaimable
+    /// page cache), with a whole-file heap read as the fallback when
+    /// mapping is unsupported or refused. `NotFound` from the open
+    /// propagates untouched — both the relocation retry and the spool
+    /// fault-back depend on it.
     fn read_segment_file(&self, path: &Path) -> std::io::Result<Bytes> {
-        if self.opts.segment_read == SegmentRead::Mmap {
-            let file = fs::File::open(path)?;
-            let len = file.metadata()?.len() as usize;
-            if let Ok(region) = MmapRegion::map(&file, len) {
-                self.tier.mmap_faults.fetch_add(1, Ordering::Relaxed);
-                flor_obs::counter!("store.mmap_faults").inc();
-                return Ok(Bytes::from_file_backed_owner(region));
-            }
-            // Soft miss (no platform backend, or the kernel refused the
-            // mapping): fall through to the heap read.
+        let file = fs::File::open(path)?;
+        let len = file.metadata()?.len() as usize;
+        if let Ok(region) = MmapRegion::map(&file, len) {
+            self.tier.mmap_faults.fetch_add(1, Ordering::Relaxed);
+            flor_obs::counter!("store.mmap_faults").inc();
+            return Ok(Bytes::from_file_backed_owner(region));
         }
+        // Soft miss (no platform backend, or the kernel refused the
+        // mapping): read the whole file onto the heap.
         Ok(Bytes::from_vec(fs::read(path)?))
     }
 
@@ -2749,13 +2681,8 @@ impl CheckpointStore {
                         }
                     }
                 }
-                let (stored, raw_stored, delta_link) = arbitrate_stored(
-                    encoded,
-                    payload.as_ref(),
-                    self.opts.compressor,
-                    true,
-                    effort,
-                );
+                let (stored, raw_stored, delta_link) =
+                    arbitrate_stored(encoded, payload.as_ref(), effort);
                 let old_depth = entry.loc.delta_link().map_or(0, |(_, d)| d);
                 let new_depth = delta_link.map_or(0, |(_, d)| d);
                 if old_depth > 0 && new_depth == 0 {
@@ -3172,13 +3099,13 @@ struct Staged {
     raw_len: u64,
     crc: u32,
     /// Stored representation: a delta frame, compressed bytes, or the raw
-    /// payload when compression did not shrink it (segmented format only).
+    /// payload when compression did not shrink it.
     stored: Vec<u8>,
     raw_stored: bool,
     /// `Some((base_seq, depth))` when `stored` is a delta frame.
     delta: Option<(u64, u32)>,
     /// `Some((hash, meta))` when the stored bytes are a dedup candidate
-    /// (segmented store with an arena attached, above the size floor).
+    /// (an arena is attached and the bytes clear the size floor).
     /// Commit interns it; on a verified hit the manifest gets a `@dup`
     /// reference entry instead of duplicate segment bytes.
     dup: Option<(u64, BlobMeta)>,
@@ -3203,11 +3130,10 @@ impl WriteBatch<'_> {
     /// Stages a checkpoint payload for `(block_id, seq)`. Compression,
     /// delta encoding, and CRC stamping happen now; nothing touches disk
     /// until [`WriteBatch::commit`]. Payloads that compression does not
-    /// shrink are stored raw (segmented format), which is what makes
-    /// their reads zero-copy; payloads that differ only slightly from the
-    /// block's previous version are stored as [`crate::delta`] frames
-    /// (chain depth bounded by
-    /// [`StoreOptions::delta_keyframe_interval`]). Within one batch,
+    /// shrink are stored raw, which is what makes their reads zero-copy;
+    /// payloads that differ only slightly from the block's previous
+    /// version are stored as [`crate::delta`] frames (chain depth bounded
+    /// by [`StoreOptions::delta_keyframe_interval`]). Within one batch,
     /// earlier stages serve as delta bases for later stages of the same
     /// block — correct across a crash because commit appends them in
     /// stage order, so any durable manifest prefix contains a delta's
@@ -3217,16 +3143,9 @@ impl WriteBatch<'_> {
             !block_id.contains(['\t', '\n', '/']),
             "block id {block_id:?} contains reserved characters"
         );
-        // The Reference pipeline reproduces the full pre-PR submit cost
-        // (its CRC included) so before/after benchmarks stay honest.
-        let crc = match self.store.opts.compressor {
-            Compressor::Pipeline => crc32(payload),
-            Compressor::Reference => crc32_reference(payload),
-        };
-        let segmented = self.store.opts.format == StoreFormat::Segmented;
+        let crc = crc32(payload);
         let k = self.store.opts.delta_keyframe_interval;
-        let delta_eligible =
-            segmented && k > 0 && payload.len() as u64 >= self.store.opts.delta_min_bytes;
+        let delta_eligible = k > 0 && payload.len() as u64 >= self.store.opts.delta_min_bytes;
 
         // Back-off: a block whose payloads keep rewriting themselves (a
         // from-scratch training regime) stops paying the probe and the
@@ -3278,18 +3197,13 @@ impl WriteBatch<'_> {
                 *rejects.entry(block_id.to_string()).or_insert(0) += 1;
             }
         }
-        let (stored, raw_stored, delta) = arbitrate_stored(
-            encoded,
-            payload,
-            self.store.opts.compressor,
-            segmented,
-            self.store.effort.load(Ordering::Relaxed),
-        );
+        let (stored, raw_stored, delta) =
+            arbitrate_stored(encoded, payload, self.store.effort.load(Ordering::Relaxed));
         // Keying the *stored representation* (not the raw payload) lets an
         // identically re-recorded run dedup its delta frames too, not just
         // its keyframes — the same input stream arbitrates to the same
         // bytes.
-        let dup = if segmented && stored.len() >= DEDUP_MIN_BYTES {
+        let dup = if stored.len() >= DEDUP_MIN_BYTES {
             self.store.dedup.read().as_ref().map(|_| {
                 let hash = DedupIndex::hash_of(&stored);
                 let meta = BlobMeta {
@@ -3350,10 +3264,7 @@ impl WriteBatch<'_> {
         let mut span = flor_obs::span(flor_obs::Category::Commit, "commit");
         span.set_args(self.staged.len() as u64, 0);
         let t0 = flor_obs::clock::now_ns();
-        let result = match self.store.opts.format {
-            StoreFormat::Segmented => self.commit_segmented(),
-            StoreFormat::FilePerCheckpoint => self.commit_files(),
-        };
+        let result = self.commit_segmented();
         if let Ok(metas) = &result {
             flor_obs::histogram!("store.commit_ns").observe(flor_obs::clock::since_ns(t0));
             flor_obs::counter!("store.commits").inc();
@@ -3362,7 +3273,7 @@ impl WriteBatch<'_> {
         result
     }
 
-    /// Segmented commit: one buffered `write_all` appends every staged
+    /// The commit body: one buffered `write_all` appends every staged
     /// payload to the active segment.
     ///
     /// The writer lock is held for the *whole* commit — segment append,
@@ -3611,65 +3522,6 @@ impl WriteBatch<'_> {
                         .fetch_sub(evicted.payload.len() as u64, Ordering::Relaxed);
                 }
             }
-        }
-        Ok(metas)
-    }
-
-    /// Legacy v1 commit: one file per checkpoint under `ckpt/`, staged via
-    /// temp + rename so a re-put never truncates the durable old file in
-    /// place. Holds the writer lock end to end for the same
-    /// commit-vs-compaction total order as [`WriteBatch::commit_segmented`].
-    fn commit_files(self) -> Result<Vec<CkptMeta>, StoreError> {
-        let store = self.store;
-        let _w = store.writer.lock();
-        let sync = store.opts.durability == Durability::GroupCommit;
-        let ckpt_dir = store.root.join("ckpt");
-        let mut lines = String::new();
-        let mut metas = Vec::with_capacity(self.staged.len());
-        for s in &self.staged {
-            let file = format!("{}.{:06}", s.block_id, s.seq);
-            let path = ckpt_dir.join(&file);
-            let tmp = ckpt_dir.join(format!(".{}.tmp.{}", file, std::process::id()));
-            {
-                let mut f = fs::File::create(&tmp)?;
-                f.write_all(&s.stored)?;
-                if sync {
-                    f.sync_data()?;
-                }
-            }
-            fs::rename(&tmp, &path)?;
-            lines.push_str(&CheckpointStore::manifest_line(
-                &s.block_id,
-                s.seq,
-                &file,
-                s.raw_len,
-                s.crc,
-            ));
-            lines.push('\n');
-        }
-        if sync {
-            fs::File::open(&ckpt_dir)?.sync_all()?;
-        }
-        store.append_manifest_text(&lines)?;
-        for s in self.staged {
-            let file = format!("{}.{:06}", s.block_id, s.seq);
-            metas.push(CkptMeta {
-                block_id: s.block_id.clone(),
-                seq: s.seq,
-                stored_bytes: s.stored.len() as u64,
-                raw_bytes: s.raw_len,
-                chain_depth: 0,
-            });
-            store.index_insert(
-                s.block_id,
-                s.seq,
-                IndexEntry {
-                    loc: Location::File(file),
-                    raw: s.raw_len,
-                    crc: s.crc,
-                    stored: s.stored.len() as u64,
-                },
-            );
         }
         Ok(metas)
     }
@@ -4203,21 +4055,45 @@ mod tests {
         );
     }
 
+    /// Golden v1 fixture: writes a file-per-checkpoint store by hand —
+    /// `ckpt/<block>.<seq:06>` payload files (always compressed) plus
+    /// literal 6-field MANIFEST v1 lines
+    /// (`block\tseq\tfile\traw\tcrc\tline_crc`, the line CRC covering the
+    /// first five fields).
+    fn write_v1_store(dir: &Path, entries: &[(&str, u64, Vec<u8>)]) {
+        fs::create_dir_all(dir.join("ckpt")).unwrap();
+        let mut manifest = String::new();
+        for (block, seq, payload) in entries {
+            let file = format!("{block}.{seq:06}");
+            fs::write(
+                dir.join("ckpt").join(&file),
+                crate::compress::compress(payload),
+            )
+            .unwrap();
+            let fields = format!(
+                "{block}\t{seq}\t{file}\t{}\t{}",
+                payload.len(),
+                crc32(payload)
+            );
+            let line_crc = crc32(fields.as_bytes());
+            manifest.push_str(&format!("{fields}\t{line_crc}\n"));
+        }
+        fs::write(dir.join("MANIFEST"), manifest).unwrap();
+    }
+
     #[test]
     fn legacy_missing_data_file_is_reported_not_undercounted() {
         // The v1 engine recorded stored=0 for a missing data file and let
         // get() fail with a raw Io error later. Now: dropped, reported,
         // manifest repaired, byte totals truthful.
         let dir = tmpdir("legacy-missing");
-        let opts = StoreOptions {
-            format: StoreFormat::FilePerCheckpoint,
-            ..StoreOptions::default()
-        };
-        {
-            let store = CheckpointStore::open_opts(&dir, opts).unwrap();
-            store.put("sb_0", 0, &vec![1u8; 10_000]).unwrap();
-            store.put("sb_0", 1, &vec![2u8; 10_000]).unwrap();
-        }
+        write_v1_store(
+            &dir,
+            &[
+                ("sb_0", 0, vec![1u8; 10_000]),
+                ("sb_0", 1, vec![2u8; 10_000]),
+            ],
+        );
         fs::remove_file(dir.join("ckpt").join("sb_0.000001")).unwrap();
         let store = CheckpointStore::open(&dir).unwrap();
         let report = store.recovery_report();
@@ -4233,21 +4109,10 @@ mod tests {
     #[test]
     fn legacy_store_reads_and_compaction_migrates_it() {
         let dir = tmpdir("legacy-migrate");
-        {
-            let store = CheckpointStore::open_opts(
-                &dir,
-                StoreOptions {
-                    format: StoreFormat::FilePerCheckpoint,
-                    ..StoreOptions::default()
-                },
-            )
-            .unwrap();
-            for seq in 0..5u64 {
-                store
-                    .put("sb_0", seq, format!("legacy-{seq}").repeat(50).as_bytes())
-                    .unwrap();
-            }
-        }
+        let entries: Vec<(&str, u64, Vec<u8>)> = (0..5u64)
+            .map(|seq| ("sb_0", seq, format!("legacy-{seq}").repeat(50).into_bytes()))
+            .collect();
+        write_v1_store(&dir, &entries);
         // Old-format store opens transparently under the segmented engine.
         let store = CheckpointStore::open(&dir).unwrap();
         let s = store.stats();
@@ -4404,6 +4269,7 @@ mod tests {
             let store = CheckpointStore::open(&dir).unwrap();
             store.put("sb_0", 0, b"live").unwrap();
         }
+        fs::create_dir_all(dir.join("ckpt")).unwrap();
         fs::write(dir.join("ckpt").join("sb_9.000000"), b"stray").unwrap();
         let store = CheckpointStore::open(&dir).unwrap();
         assert_eq!(store.recovery_report().orphaned_files, vec!["sb_9.000000"]);

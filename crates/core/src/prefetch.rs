@@ -42,13 +42,59 @@ use std::sync::Arc;
 /// worker (each distinct backing allocation charged once, at full size).
 pub const PREFETCH_BUDGET_BYTES: u64 = 64 << 20;
 
+/// backing id → (parked slices of it, bytes charged for it): the budget
+/// arithmetic for fetched-but-unconsumed payloads. Heap backings charge
+/// the full allocation once — a tiny zero-copy slice pins the whole
+/// buffer — and release it with the last slice. File-backed (mmap'd
+/// segment) slices charge their own length: the backing pages are clean
+/// page cache the kernel can reclaim, not anonymous heap pinned by the
+/// slice.
+#[derive(Default)]
+struct BackingCharges(HashMap<usize, (usize, u64)>);
+
+impl BackingCharges {
+    /// Parks one slice; returns the bytes it adds to the budget.
+    fn charge(&mut self, bytes: &Bytes) -> u64 {
+        let slot = self.0.entry(bytes.backing_id()).or_insert((0, 0));
+        let add = if bytes.backing_is_file() {
+            bytes.len() as u64
+        } else if slot.0 == 0 {
+            bytes.backing_len() as u64
+        } else {
+            0
+        };
+        slot.0 += 1;
+        slot.1 += add;
+        add
+    }
+
+    /// Un-parks one slice; returns the bytes it releases from the budget.
+    fn release(&mut self, bytes: &Bytes) -> u64 {
+        let Some(slot) = self.0.get_mut(&bytes.backing_id()) else {
+            return 0;
+        };
+        slot.0 -= 1;
+        if slot.0 == 0 {
+            // Any residue (e.g. rounding of per-slice file charges)
+            // releases with the last slice.
+            let all = slot.1;
+            self.0.remove(&bytes.backing_id());
+            all
+        } else if bytes.backing_is_file() {
+            let sub = (bytes.len() as u64).min(slot.1);
+            slot.1 -= sub;
+            sub
+        } else {
+            0
+        }
+    }
+}
+
 struct Shared {
     /// block → seq → fetched payload.
     ready: Mutex<HashMap<String, HashMap<u64, Bytes>>>,
-    /// backing id → (outstanding slices of it, backing length). Charged
-    /// into `outstanding` when the first slice arrives, released when the
-    /// last is consumed.
-    charged: Mutex<HashMap<usize, (usize, u64)>>,
+    /// Budget charges of the payloads parked in `ready`.
+    charged: Mutex<BackingCharges>,
     /// Keys the consumer already restored via a direct read before the
     /// fetch happened — skipped by the fetch thread so dead buffers can't
     /// eat the budget.
@@ -75,7 +121,7 @@ impl Prefetcher {
     pub fn spawn(store: Arc<CheckpointStore>, keys: Vec<(String, u64)>) -> Prefetcher {
         let shared = Arc::new(Shared {
             ready: Mutex::new(HashMap::new()),
-            charged: Mutex::new(HashMap::new()),
+            charged: Mutex::new(BackingCharges::default()),
             skip: Mutex::new(HashMap::new()),
             outstanding: AtomicU64::new(0),
             stop: AtomicBool::new(false),
@@ -118,28 +164,11 @@ impl Prefetcher {
                     {
                         continue;
                     }
-                    {
-                        let mut charged = worker.charged.lock();
-                        let slot = charged.entry(bytes.backing_id()).or_insert((0, 0));
-                        // File-backed (mmap'd segment) slices charge their
-                        // own length: the backing pages are clean page
-                        // cache the kernel can reclaim, not anonymous heap
-                        // pinned by the slice. Heap backings still charge
-                        // the full allocation once — a tiny slice pins the
-                        // whole buffer.
-                        let add = if bytes.backing_is_file() {
-                            bytes.len() as u64
-                        } else if slot.0 == 0 {
-                            bytes.backing_len() as u64
-                        } else {
-                            0
-                        };
-                        slot.0 += 1;
-                        slot.1 += add;
-                        if add > 0 {
-                            worker.outstanding.fetch_add(add, Ordering::AcqRel);
-                        }
-                    }
+                    // The charge guard lives to the end of the statement,
+                    // so the counter moves under the same lock.
+                    worker
+                        .outstanding
+                        .fetch_add(worker.charged.lock().charge(&bytes), Ordering::AcqRel);
                     worker.fetched.fetch_add(1, Ordering::Relaxed);
                     worker
                         .ready
@@ -164,28 +193,9 @@ impl Prefetcher {
             let mut ready = self.shared.ready.lock();
             ready.get_mut(block)?.remove(&seq)?
         };
-        let mut charged = self.shared.charged.lock();
-        if let Some(slot) = charged.get_mut(&bytes.backing_id()) {
-            slot.0 -= 1;
-            let sub = if bytes.backing_is_file() {
-                (bytes.len() as u64).min(slot.1)
-            } else if slot.0 == 0 {
-                slot.1
-            } else {
-                0
-            };
-            slot.1 -= sub;
-            if slot.0 == 0 {
-                // Any residue (e.g. rounding of per-slice file charges)
-                // releases with the last slice.
-                self.shared
-                    .outstanding
-                    .fetch_sub(sub + slot.1, Ordering::AcqRel);
-                charged.remove(&bytes.backing_id());
-            } else if sub > 0 {
-                self.shared.outstanding.fetch_sub(sub, Ordering::AcqRel);
-            }
-        }
+        self.shared
+            .outstanding
+            .fetch_sub(self.shared.charged.lock().release(&bytes), Ordering::AcqRel);
         Some(bytes)
     }
 
@@ -242,6 +252,7 @@ impl Drop for Prefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flor_chkpt::Buf;
 
     fn tmpstore(tag: &str) -> Arc<CheckpointStore> {
         let dir = std::env::temp_dir().join(format!(
@@ -315,63 +326,26 @@ mod tests {
 
     #[test]
     fn budget_charges_shared_backings_once_and_releases_on_last_take() {
-        // Heap-backed reads (SegmentRead::WholeFile) pin the whole segment
-        // buffer per slice, so the backing is charged once at full size.
-        let dir = std::env::temp_dir().join(format!(
-            "flor-prefetch-test-backing-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(
-            CheckpointStore::open_opts(
-                dir,
-                flor_chkpt::StoreOptions {
-                    segment_read: flor_chkpt::SegmentRead::WholeFile,
-                    ..flor_chkpt::StoreOptions::default()
-                },
-            )
-            .unwrap(),
-        );
-        // Distinct incompressible payloads land raw-stored in one segment:
-        // every fetched slice shares that segment's backing buffer.
-        // (Distinct, not repeated — identical payloads would delta-chain
-        // and reconstruct into private buffers instead of zero-copy
-        // slices.)
-        let payload = |seq: u64| -> Vec<u8> {
-            let mut x = 0x9E3779B9u32 ^ ((seq as u32 + 1) << 8);
-            (0..2048)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 17;
-                    x ^= x << 5;
-                    x as u8
-                })
-                .collect()
-        };
-        for seq in 0..4u64 {
-            store.put("sb_0", seq, &payload(seq)).unwrap();
-        }
-        let keys: Vec<_> = (0..4u64).map(|s| ("sb_0".to_string(), s)).collect();
-        let mut p = Prefetcher::spawn(store, keys);
-        p.join();
-        let outstanding = p.outstanding_backing_bytes();
-        // One shared segment backing, charged once — not 4 × slice length,
-        // and crucially not 4 × backing length.
-        assert!(outstanding >= 4 * 2048, "{outstanding}");
-        assert!(outstanding < 2 * 4 * 2048 + 4096, "{outstanding}");
-        for seq in 0..3u64 {
-            p.take("sb_0", seq).unwrap();
+        // Heap slices sharing one backing (what a whole-file segment read
+        // hands out) pin the whole buffer, so it is charged once at full
+        // size and released only with the last slice.
+        let backing_len = 4 * 2048 + 100;
+        let mut backing = Bytes::from_vec(vec![7u8; backing_len]);
+        let slices: Vec<Bytes> = (0..4).map(|_| backing.copy_to_bytes(2048)).collect();
+        let mut charges = BackingCharges::default();
+        let charged: u64 = slices.iter().map(|s| charges.charge(s)).sum();
+        // Not 4 × slice length, and crucially not 4 × backing length.
+        assert_eq!(charged, backing_len as u64, "one backing, charged once");
+        for s in &slices[..3] {
             assert_eq!(
-                p.outstanding_backing_bytes(),
-                outstanding,
+                charges.release(s),
+                0,
                 "backing stays charged while any slice of it is unconsumed"
             );
         }
-        p.take("sb_0", 3).unwrap();
         assert_eq!(
-            p.outstanding_backing_bytes(),
-            0,
+            charges.release(&slices[3]),
+            backing_len as u64,
             "last take releases the backing"
         );
     }

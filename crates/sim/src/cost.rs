@@ -24,10 +24,12 @@ pub mod machine {
 pub const S3_USD_PER_GB_MONTH: f64 = 0.023;
 
 /// Measured checkpoint-read constants of the segmented storage engine,
-/// taken from `bench_replay_json` (the committed `BENCH_replay.json`
-/// before/after table). The replay simulator folds these into the restore
-/// cost `R = c·M` so simulated replay latency reflects the real read path,
-/// not just the paper's compute-side scaling factor.
+/// taken from `bench_replay_json` (the committed `BENCH_replay.json`;
+/// the v1 figure comes from the before/after table that file held when
+/// the segmented engine landed, commit `915bedd`). The replay simulator
+/// folds these into the restore cost `R = c·M` so simulated replay
+/// latency reflects the real read path, not just the paper's
+/// compute-side scaling factor.
 pub mod read_cost {
     /// Median `get_bytes` latency for a segment-resident checkpoint,
     /// seconds (fixed per-read cost: sharded index lookup + shared-buffer
@@ -36,7 +38,8 @@ pub mod read_cost {
 
     /// Median latency of the retired v1 read path (one `open`/`read`/
     /// `close` per checkpoint file), seconds. Kept as the "before" column
-    /// and for costing legacy-format stores. BENCH_replay.json: 6292 ns.
+    /// and for costing legacy-format stores. BENCH_replay.json at commit
+    /// `915bedd`: 6292 ns.
     pub const FILE_PER_CKPT_GET_SECS: f64 = 6.3e-6;
 
     /// Streaming throughput for pulling a cold segment's payload bytes
@@ -81,8 +84,9 @@ pub mod delta_cost {
     pub const KEYFRAME_RATIO: f64 = 1.0;
 
     /// Extra restore cost per chain link, seconds per raw GB decoded
-    /// (BENCH_compress.json: sequential restore median 8.17 ms vs 5.03 ms
-    /// keyframe-only on 4 MiB payloads ≈ 0.75 s/GB/link).
+    /// (the retired BENCH_compress.json before/after table: sequential
+    /// restore median 8.17 ms vs 5.03 ms keyframe-only on 4 MiB payloads
+    /// ≈ 0.75 s/GB/link).
     pub const CHAIN_LINK_SECS_PER_GB: f64 = 0.75;
 
     /// Stored bytes (GB) for `checkpoints` versions of a `raw_gb`

@@ -8,13 +8,13 @@
 # held to the trajectory:
 #   BENCH_record.json       — caller-thread submit latency per materialization
 #                             strategy (zero-copy vs pre-refactor eager copies)
-#   BENCH_replay.json       — restore-read latency + cold store-open time
-#                             (segmented get_bytes vs pre-refactor per-file get)
+#   BENCH_replay.json       — restore-read latency (zero-copy get_bytes over
+#                             packed segments) + cold store-open time
 #   BENCH_replay_sched.json — replay scheduling: static contiguous partitioning
 #                             vs cost-aware work-stealing + streaming merge
 #   BENCH_compress.json     — checkpoint bytes on disk + record submit
-#                             throughput (delta chains + parallel compression
-#                             vs the pre-delta full-slab compressor)
+#                             throughput of the delta-chain + parallel
+#                             compression write pipeline
 #   BENCH_interp.json       — replay interpreter: tree-walking AST executor vs
 #                             the bytecode VM, plus cold-compile vs
 #                             cached-module fetch costs
@@ -22,10 +22,10 @@
 #                             with backward slicing off vs on, plus the
 #                             cross-query slice memo (cold query vs a
 #                             textually different probe served from cache)
-#   BENCH_store_tier.json   — tiered storage engine: cold sparse restore via
-#                             mmap segment reads vs the pre-tier whole-file
-#                             engine, plus the dedup arena's bytes-on-disk
-#                             ratio across an identical-record sweep
+#   BENCH_store_tier.json   — tiered storage engine: cold sparse restore time
+#                             per checkpoint via mmap segment reads, plus the
+#                             dedup arena's bytes-on-disk ratio across an
+#                             identical-record sweep
 #   BENCH_serve.json        — async query service over real sockets: 1 vs 16
 #                             closed-loop clients under an emulated 2ms RTT,
 #                             admission-control overhead and shedding, and

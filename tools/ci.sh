@@ -59,14 +59,18 @@ run ./tools/bench.sh --quick
 # Bench-regression gate: scale-invariant metrics of the quick runs must
 # stay within a tolerance band of the committed full-scale baselines
 # (>20% regressions fail; widen with FLOR_BENCH_TOLERANCE for noisy
-# hosts). Ratios and per-unit medians only — absolute totals differ
-# between quick and full fixtures by design.
+# hosts). Per-unit numbers only — the quick fixtures keep the full
+# fixtures' payload size and checkpoints per segment and shrink only
+# counts, so absolute totals differ by design but per-unit numbers do
+# not. Per-restore read latency:
 run cargo run --release -q -p flor-bench --bin bench_check -- \
     BENCH_replay.json target/BENCH_replay.quick.json \
-    segmented.median_ns=lower median_get_speedup=higher
+    segmented.median_ns=lower
+# Checkpoint bytes (raw / stored, and stored / raw per delta frame) and
+# record submit throughput in MB/s:
 run cargo run --release -q -p flor-bench --bin bench_check -- \
     BENCH_compress.json target/BENCH_compress.quick.json \
-    bytes_reduction=higher submit_speedup=higher delta_frame_ratio=lower
+    bytes_reduction=higher delta.submit_mb_per_s=higher delta_frame_ratio=lower
 # The live steal-speedup columns are fixture- and host-load-dependent
 # (the quick fixture replays once on whatever cores CI has), so the gate
 # uses the deterministic paper-scale simulation of the same scheduler.
@@ -95,20 +99,19 @@ run cargo run --release -q -p flor-bench --bin bench_check -- \
     BENCH_slice.json target/BENCH_slice.quick.json \
     slice_speedup=higher
 # Tiered storage: the dedup bytes-on-disk ratio is a pure byte count
-# (deterministic across scales, default band). The mmap restore speedup
-# shrinks at quick scale — fixed open costs weigh more against the
-# smaller segments — and its ms-scale walls are load-sensitive on a
-# busy CI host, so its band is catastrophe-only: a real regression
-# (the mmap backend silently falling back to whole-file reads) is
-# 1.0×, far below it, and the bench binary asserts ≥2× internally.
+# (deterministic across scales, default band). The cold sparse restore
+# time per checkpoint is a best-of-5 ms-scale wall that swings about
+# ±20% run to run on a busy host, so its band is wider than the
+# default. The silent whole-file fallback is caught exactly by the bench
+# binary itself, which asserts one segment mapping per sparse read.
 run cargo run --release -q -p flor-bench --bin bench_check -- \
     BENCH_store_tier.json target/BENCH_store_tier.quick.json \
     dedup_bytes_ratio=higher
 (
-    export FLOR_BENCH_TOLERANCE=0.70
+    export FLOR_BENCH_TOLERANCE=0.50
     run cargo run --release -q -p flor-bench --bin bench_check -- \
         BENCH_store_tier.json target/BENCH_store_tier.quick.json \
-        mmap_restore_speedup=higher
+        mmap.restore_ns_per_ckpt=lower
 )
 # The serve qps columns are closed-loop socket measurements on whatever
 # core CI has, so their band is catastrophe-only: the bench binary
