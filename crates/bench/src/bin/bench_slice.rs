@@ -104,7 +104,6 @@ fn main() {
         workers: 1,
         init_mode: InitMode::Strong,
         steal: false,
-        vm: true,
         slice,
         module_cache: None,
         cancel: None,

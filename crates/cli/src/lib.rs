@@ -24,7 +24,7 @@ usage:
   flor record   <script.flr> --store <dir> [--epsilon F] [--no-adaptive]
                 [--registry <dir>] [--run-id <id>] [--delta-keyframe K]
   flor replay   <script.flr> --store <dir> [--workers N] [--weak] [--steal]
-                [--no-vm] [--no-slice]
+                [--no-slice]
   flor sample   <script.flr> --store <dir> --iters 3,7,12
   flor inspect  <script.flr>
   flor log      --store <dir>
@@ -34,7 +34,7 @@ usage:
   flor runs     show <run-id> --registry <dir> [--json]
   flor runs     prune <run-id> --registry <dir> [--keep N]
   flor query    <run-id> <probed.flr> --registry <dir> [--workers N] [--stream]
-                [--no-vm] [--no-slice] [--trace <out.json>]
+                [--no-slice] [--trace <out.json>]
   flor serve    --registry <dir> [--workers N] [--listen <endpoint>]...
                 [--queue-limit N] [--tenant-jobs N] [--tenant-burst N]
                 [--tenant-refill PER-SEC] [--max-backlog-ms MS]
@@ -365,7 +365,6 @@ fn cmd_replay(args: &Args) -> Result<String, CliError> {
             InitMode::Strong
         },
         steal: args.flag("steal"),
-        vm: !args.flag("no-vm"),
         slice: !args.flag("no-slice"),
         module_cache: None,
         cancel: None,
@@ -382,11 +381,6 @@ fn cmd_replay(args: &Args) -> Result<String, CliError> {
         report.stats.restored,
         report.stats.executed,
         report.probes.len()
-    );
-    let _ = writeln!(
-        out,
-        "# interpreter: {}",
-        if opts.vm { "vm" } else { "tree-walk" }
     );
     let _ = writeln!(
         out,
@@ -779,7 +773,6 @@ fn cmd_runs(args: &Args) -> Result<String, CliError> {
 
 fn cmd_query(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> {
     let registry = args.registry()?;
-    registry.set_vm(!args.flag("no-vm"));
     registry.set_slice(!args.flag("no-slice"));
     let run_id = args
         .positional
@@ -1368,44 +1361,6 @@ for epoch in range(4):
         .unwrap();
         assert!(out.contains("# replayed"), "{out}");
         assert!(!out.contains("ANOMALY"), "{out}");
-    }
-
-    #[test]
-    fn replay_no_vm_flag_matches_vm_output() {
-        let (store, script) = setup("no-vm");
-        cli(&[
-            "record",
-            script.to_str().unwrap(),
-            "--store",
-            store.to_str().unwrap(),
-            "--no-adaptive",
-        ])
-        .unwrap();
-        let vm = cli(&[
-            "replay",
-            script.to_str().unwrap(),
-            "--store",
-            store.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert!(vm.contains("# interpreter: vm"), "{vm}");
-        let tree = cli(&[
-            "replay",
-            script.to_str().unwrap(),
-            "--store",
-            store.to_str().unwrap(),
-            "--no-vm",
-        ])
-        .unwrap();
-        assert!(tree.contains("# interpreter: tree-walk"), "{tree}");
-        // Same log lines from both executors.
-        let logs = |s: &str| -> Vec<String> {
-            s.lines()
-                .filter(|l| !l.starts_with('#'))
-                .map(str::to_string)
-                .collect()
-        };
-        assert_eq!(logs(&vm), logs(&tree));
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! The FlorScript interpreter and its ML builtin surface.
+//! The FlorScript interpreter state and its ML builtin surface.
 //!
-//! A tree-walking evaluator with Python reference semantics over
-//! [`crate::value::Value`]. Three execution modes share one code path:
+//! Every mode executes compiled bytecode on the VM ([`crate::vm`]):
+//! [`Interp::run`] compiles the program and runs the module. Three
+//! execution modes share that one executor:
 //!
 //! - **Vanilla** — plain execution; SkipBlocks are transparent and
 //!   `flor.partition` is the identity. Used as the paper's "vanilla
@@ -14,17 +15,19 @@
 //!
 //! The builtin surface mirrors the PyTorch-style API the paper's analysis
 //! assumes: model constructors, `sgd`/`adam`, schedulers, data loaders, and
-//! the `log(...)` primitive that writes the observable log stream.
+//! the `log(...)` primitive that writes the observable log stream. The
+//! reference tree-walker in [`crate::reference`] shares it, and serves
+//! only as the VM's differential oracle.
 
 use crate::adaptive::AdaptiveController;
 use crate::env::Env;
 use crate::error::{rt, FlorError};
 use crate::logstream::{LogStream, Section};
 use crate::parallel::{InitMode, WorkerPlan};
-use crate::skipblock;
 use crate::value::{Batch, DatasetObj, Obj, Value};
 use flor_chkpt::{CheckpointStore, Materializer};
-use flor_lang::ast::{Arg, BinOp, Expr, Program, Stmt, UnaryOp};
+use flor_lang::ast::{BinOp, Program, UnaryOp};
+use flor_lang::compile::LoopInfo;
 use flor_ml::metrics::{accuracy, Meter};
 use flor_ml::models;
 use flor_ml::swa::SwaAverager;
@@ -208,32 +211,11 @@ pub enum Mode {
     Replay(Box<ReplayCtx>),
 }
 
-/// A main-loop body, abstracted over the executor: the tree-walker
-/// re-walks the statement list per iteration; the VM re-enters a
-/// compiled instruction range at an iteration boundary (which is what
-/// lets stolen ranges resume from checkpoint-restored slots).
-pub(crate) enum LoopBody<'a> {
-    /// Walk the AST statements.
-    Tree {
-        /// Loop variable name.
-        var: &'a str,
-        /// Body statements.
-        body: &'a [Stmt],
-    },
-    /// Execute a compiled instruction range on the VM.
-    Vm {
-        /// Loop-variable frame slot.
-        var_slot: u16,
-        /// First instruction of the body.
-        start: usize,
-        /// One past the last instruction of the body.
-        end: usize,
-    },
-}
-
 /// The interpreter.
 pub struct Interp {
-    /// Global variable bindings.
+    /// Global variable bindings by name. While a module executes, the
+    /// live values sit in the VM frame's slots instead; the `Env` holds
+    /// pre-bound names beforehand and the final state after a run.
     pub env: Env,
     /// The observable log stream.
     pub log: LogStream,
@@ -242,9 +224,8 @@ pub struct Interp {
     /// Counter deriving default seeds for constructors without an explicit
     /// `seed=` kwarg (deterministic across runs).
     ctor_counter: u64,
-    /// Live VM frame when executing compiled bytecode (`None` under the
-    /// tree-walker). Boxed so the tree-walking fast path pays one
-    /// pointer.
+    /// Live VM frame while a module executes (`None` between runs and
+    /// under the reference tree-walker).
     pub(crate) vm: Option<Box<crate::vm::VmFrame>>,
 }
 
@@ -260,101 +241,29 @@ impl Interp {
         }
     }
 
-    /// Runs a whole program.
+    /// Runs a whole program: compiles it and executes the module on the
+    /// VM ([`Interp::run_vm`]), in whichever mode the interpreter is in.
     pub fn run(&mut self, prog: &Program) -> Result<(), FlorError> {
-        self.exec_body(&prog.body)?;
-        if let Mode::Record(ctx) = &mut self.mode {
-            ctx.materializer.flush();
-        }
-        Ok(())
-    }
-
-    /// Executes a statement sequence.
-    pub fn exec_body(&mut self, body: &[Stmt]) -> Result<(), FlorError> {
-        for stmt in body {
-            self.exec_stmt(stmt)?;
-        }
-        Ok(())
-    }
-
-    fn exec_stmt(&mut self, stmt: &Stmt) -> Result<(), FlorError> {
-        match stmt {
-            Stmt::Import { .. } | Stmt::Pass => Ok(()),
-            Stmt::Assign { targets, value } => {
-                let v = self.eval(value)?;
-                self.assign(targets, v)
-            }
-            Stmt::ExprStmt { expr } => {
-                self.eval(expr)?;
-                Ok(())
-            }
-            Stmt::If { cond, then, orelse } => {
-                if self.eval(cond)?.truthy() {
-                    self.exec_body(then)
-                } else {
-                    self.exec_body(orelse)
-                }
-            }
-            Stmt::SkipBlock { id, body } => skipblock::exec_skipblock(self, id, body),
-            Stmt::For { var, iter, body } => {
-                // The main loop: `for v in flor.partition(inner):`.
-                if let Expr::Call { func, args } = iter {
-                    if let Expr::Attr { obj, name } = func.as_ref() {
-                        if name == "partition" && obj.as_name() == Some("flor") && args.len() == 1 {
-                            return self.exec_main_loop(var, &args[0].value, body);
-                        }
-                    }
-                }
-                let items = self.eval_to_items(iter)?;
-                for item in items {
-                    self.env.set(var.clone(), item);
-                    self.exec_body(body)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn eval_to_items(&mut self, iter: &Expr) -> Result<Vec<Value>, FlorError> {
-        let v = self.eval(iter)?;
-        items_of(v)
-    }
-
-    /// Executes the partition-wrapped main loop (paper Figures 8 & 9).
-    fn exec_main_loop(&mut self, var: &str, inner: &Expr, body: &[Stmt]) -> Result<(), FlorError> {
-        let items = self.eval_to_items(inner)?;
-        self.exec_main_loop_impl(&LoopBody::Tree { var, body }, items)
+        let module = crate::vm::compile_program(prog)?;
+        self.run_vm(&module)
     }
 
     /// Runs one main-loop iteration: section/iter bookkeeping, bind the
-    /// loop variable, execute the body — on whichever executor `lb`
-    /// names (tree-walker or VM bytecode range).
-    fn run_loop_iter(&mut self, lb: &LoopBody<'_>, g: u64, item: Value) -> Result<(), FlorError> {
+    /// loop variable's slot, execute the body's instruction range.
+    fn run_loop_iter(&mut self, body: LoopInfo, g: u64, item: Value) -> Result<(), FlorError> {
         self.enter_iter(g);
-        match lb {
-            LoopBody::Tree { var, body } => {
-                self.env.set(var.to_string(), item);
-                self.exec_body(body)
-            }
-            LoopBody::Vm {
-                var_slot,
-                start,
-                end,
-            } => {
-                self.vm_set_slot(*var_slot, item);
-                self.vm_run_range(*start, *end)
-            }
-        }
+        self.vm_set_slot(body.var_slot, item);
+        self.vm_run_range(body.body_start, body.body_end)
     }
 
-    /// The mode dispatch behind [`Self::exec_main_loop`], shared by the
-    /// tree-walker and the VM's `MainLoop` op: the four replay shapes
-    /// (sequential, sampled, work-stealing, static partition) are
-    /// executor-agnostic once iteration execution is behind
-    /// [`LoopBody`].
-    pub(crate) fn exec_main_loop_impl(
+    /// The VM's `MainLoop` op: the mode dispatch over the main loop's
+    /// iterations. Vanilla and record run them in order; replay has four
+    /// shapes (sequential, sampled, work-stealing, static partition),
+    /// all re-entering the body's instruction range at an iteration
+    /// boundary.
+    pub(crate) fn run_main_loop(
         &mut self,
-        lb: &LoopBody<'_>,
+        lb: LoopInfo,
         items: Vec<Value>,
     ) -> Result<(), FlorError> {
         let n = items.len() as u64;
@@ -517,7 +426,7 @@ impl Interp {
     /// the incremental merger immediately.
     fn exec_main_loop_ranges(
         &mut self,
-        lb: &LoopBody<'_>,
+        lb: LoopInfo,
         items: &[Value],
         n: u64,
         runtime: &Arc<crate::replay::ReplayRuntime>,
@@ -661,24 +570,17 @@ impl Interp {
             // Bytecode execution of a work range is the hot path this
             // whole layer exists for: give it its own nested span and
             // latency histogram.
-            let vm_span = match lb {
-                LoopBody::Vm { .. } => {
-                    let mut s = flor_obs::span(flor_obs::Category::VmExec, "vm-range");
-                    s.set_args(range.start, range.end);
-                    Some((s, flor_obs::clock::now_ns()))
-                }
-                LoopBody::Tree { .. } => None,
-            };
+            let mut vm_span = flor_obs::span(flor_obs::Category::VmExec, "vm-range");
+            vm_span.set_args(range.start, range.end);
+            let vm_t0 = flor_obs::clock::now_ns();
             for g in range.iters() {
                 if runtime.cancelled() {
                     return Err(FlorError::Cancelled);
                 }
                 self.run_loop_iter(lb, g, items[g as usize].clone())?;
             }
-            if let Some((s, t0)) = vm_span {
-                flor_obs::histogram!("vm.exec_ns").observe(flor_obs::clock::since_ns(t0));
-                drop(s);
-            }
+            flor_obs::histogram!("vm.exec_ns").observe(flor_obs::clock::since_ns(vm_t0));
+            drop(vm_span);
             drop(span);
             state_at = range.end;
             if let Mode::Replay(ctx) = &mut self.mode {
@@ -753,103 +655,6 @@ impl Interp {
         }
     }
 
-    fn assign(&mut self, targets: &[Expr], value: Value) -> Result<(), FlorError> {
-        if targets.len() == 1 {
-            return self.assign_one(&targets[0], value);
-        }
-        let items = unpack_values(value, targets.len())?;
-        for (t, v) in targets.iter().zip(items) {
-            self.assign_one(t, v)?;
-        }
-        Ok(())
-    }
-
-    fn assign_one(&mut self, target: &Expr, value: Value) -> Result<(), FlorError> {
-        match target {
-            Expr::Name(n) => {
-                self.env.set(n.clone(), value);
-                Ok(())
-            }
-            Expr::Attr { obj, name } => {
-                let recv = self.eval(obj)?;
-                store_attr_value(recv, name, value)
-            }
-            Expr::Subscript { obj, index } => {
-                let recv = self.eval(obj)?;
-                let idx = self.eval(index)?;
-                store_index_value(recv, idx, value)
-            }
-            other => Err(rt(format!("invalid assignment target {other}"))),
-        }
-    }
-
-    // ---- expressions -------------------------------------------------------
-
-    /// Evaluates an expression.
-    pub fn eval(&mut self, expr: &Expr) -> Result<Value, FlorError> {
-        match expr {
-            Expr::Int(i) => Ok(Value::Int(*i)),
-            Expr::Float(x) => Ok(Value::Float(*x)),
-            Expr::Str(s) => Ok(Value::Str(s.clone())),
-            Expr::Bool(b) => Ok(Value::Bool(*b)),
-            Expr::NoneLit => Ok(Value::None),
-            Expr::Name(n) => {
-                if n == "flor" {
-                    // `flor` resolves as a pseudo-module; only flor.log /
-                    // flor.partition are meaningful and both are handled at
-                    // their call sites.
-                    return Ok(Value::Str("<module flor>".into()));
-                }
-                self.env.get(n).cloned()
-            }
-            Expr::List(items) => Ok(Value::list(
-                items
-                    .iter()
-                    .map(|e| self.eval(e))
-                    .collect::<Result<_, _>>()?,
-            )),
-            Expr::Tuple(items) => Ok(Value::Tuple(
-                items
-                    .iter()
-                    .map(|e| self.eval(e))
-                    .collect::<Result<_, _>>()?,
-            )),
-            Expr::Unary { op, expr } => {
-                let v = self.eval(expr)?;
-                unary_op_value(*op, v)
-            }
-            Expr::Bin { op, lhs, rhs } => self.eval_bin(*op, lhs, rhs),
-            Expr::Subscript { obj, index } => {
-                let recv = self.eval(obj)?;
-                let idx = self.eval(index)?;
-                index_value(recv, idx)
-            }
-            Expr::Attr { obj, name } => {
-                let recv = self.eval(obj)?;
-                self.read_attr(recv, name)
-            }
-            Expr::Call { func, args } => self.eval_call(func, args),
-        }
-    }
-
-    fn eval_bin(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr) -> Result<Value, FlorError> {
-        // Short-circuit boolean ops.
-        match op {
-            BinOp::And => {
-                let l = self.eval(lhs)?;
-                return if l.truthy() { self.eval(rhs) } else { Ok(l) };
-            }
-            BinOp::Or => {
-                let l = self.eval(lhs)?;
-                return if l.truthy() { Ok(l) } else { self.eval(rhs) };
-            }
-            _ => {}
-        }
-        let l = self.eval(lhs)?;
-        let r = self.eval(rhs)?;
-        bin_op_values(op, l, r)
-    }
-
     pub(crate) fn read_attr(&mut self, recv: Value, name: &str) -> Result<Value, FlorError> {
         match recv {
             Value::Obj(rc) => {
@@ -869,45 +674,10 @@ impl Interp {
         }
     }
 
-    fn eval_call(&mut self, func: &Expr, args: &[Arg]) -> Result<Value, FlorError> {
-        // flor.log / log: the logging primitive.
-        let is_flor_attr = |target: &str| -> bool {
-            matches!(func, Expr::Attr { obj, name } if name == target && obj.as_name() == Some("flor"))
-        };
-        if matches!(func, Expr::Name(n) if n == "log") || is_flor_attr("log") {
-            return self.call_log(args);
-        }
-        if is_flor_attr("partition") {
-            // Outside a For header, partition is the identity (record) —
-            // evaluate its argument.
-            return self.eval(&args[0].value);
-        }
-        match func {
-            Expr::Name(n) => {
-                let call_args = self.eval_args(args)?;
-                self.call_builtin(n, call_args)
-            }
-            Expr::Attr { obj, name } => {
-                let recv = self.eval(obj)?;
-                let call_args = self.eval_args(args)?;
-                self.call_method(recv, name, call_args)
-            }
-            other => Err(rt(format!("cannot call {other}"))),
-        }
-    }
-
-    fn call_log(&mut self, args: &[Arg]) -> Result<Value, FlorError> {
-        let mut vals = Vec::with_capacity(args.len());
-        for a in args {
-            vals.push(self.eval(&a.value)?);
-        }
-        self.log_values(vals)
-    }
-
     /// Emits one log entry from already-evaluated `log(...)` arguments:
     /// first value is the key (strings pass through, everything else
     /// displays), the rest join with spaces. Keyword names are ignored.
-    /// Shared by the tree-walker and the VM's `CallLog` op.
+    /// Shared by the VM's `CallLog` op and the reference tree-walker.
     pub(crate) fn log_values(&mut self, vals: Vec<Value>) -> Result<Value, FlorError> {
         let mut it = vals.into_iter();
         let Some(first) = it.next() else {
@@ -920,19 +690,6 @@ impl Interp {
         let vals: Vec<String> = it.map(|v| v.display()).collect();
         self.log.log(key, vals.join(" "));
         Ok(Value::None)
-    }
-
-    fn eval_args(&mut self, args: &[Arg]) -> Result<CallArgs, FlorError> {
-        let mut pos = Vec::new();
-        let mut kw = Vec::new();
-        for a in args {
-            let v = self.eval(&a.value)?;
-            match &a.name {
-                Some(n) => kw.push((n.clone(), v)),
-                None => pos.push(v),
-            }
-        }
-        Ok(CallArgs { pos, kw })
     }
 
     fn next_seed(&mut self) -> u64 {
@@ -1210,7 +967,11 @@ impl Interp {
                 "norm" => Ok(Value::Float(t.norm() as f64)),
                 "mean" => Ok(Value::Float(t.mean() as f64)),
                 "max" => Ok(Value::Float(t.max() as f64)),
-                "item" => Ok(Value::Float(t.item() as f64)),
+                "item" if t.numel() == 1 => Ok(Value::Float(t.item() as f64)),
+                "item" => Err(rt(format!(
+                    "item() needs a one-element tensor, got shape {}",
+                    t.shape()
+                ))),
                 "shape" => Ok(Value::Str(t.shape().to_string())),
                 other => Err(rt(format!("no method {other:?} on tensor"))),
             };
@@ -1478,10 +1239,10 @@ impl Interp {
 
 // ---- shared executor semantics ---------------------------------------------
 //
-// The tree-walker and the bytecode VM must agree byte-for-byte on values
-// and error strings (the VM is differentially tested against the
-// tree-walker); these helpers are the single home for value-level
-// semantics so the two executors cannot drift.
+// The bytecode VM and the reference tree-walker must agree byte-for-byte
+// on values and error strings (the VM is differentially tested against
+// it); these helpers are the single home for value-level semantics so
+// the two executors cannot drift.
 
 /// Snapshot of an iterable's items (lists are cloned before the loop
 /// body runs, so mutation during iteration is invisible — both

@@ -30,7 +30,8 @@
 //!
 //! - [`value`] / [`env`]: the interpreter's Python-like object graph —
 //!   reference semantics make the optimizer→model aliasing real (§5.2.1).
-//! - [`interp`]: tree-walking interpreter + the ML builtin surface.
+//! - [`interp`]: interpreter state, execution modes, main-loop
+//!   scheduling, and the ML builtin surface.
 //! - [`logstream`]: structured log output; the replay/record fingerprint
 //!   (§5.2.2).
 //! - [`skipblock`]: the SkipBlock construct — parameterized branching,
@@ -50,9 +51,11 @@
 //!   blocking on the last worker.
 //! - [`oracle`]: runtime changeset augmentation over the live object graph
 //!   (§5.2.1 step 3).
-//! - [`vm`]: the bytecode replay VM — executes `flor-lang`'s compiled
-//!   modules with slot-resolved variables and a compiled-module cache,
-//!   keeping the tree-walker as fallback and differential oracle.
+//! - [`vm`]: the bytecode VM, the executor for every mode — runs
+//!   `flor-lang`'s compiled modules with slot-resolved variables and a
+//!   compiled-module cache.
+//! - [`reference`]: the reference tree-walker, kept only as the VM's
+//!   differential oracle in tests and the interpreter bench.
 
 #![warn(missing_docs)]
 
@@ -67,6 +70,7 @@ pub mod parallel;
 pub mod prefetch;
 pub mod profile;
 pub mod record;
+pub mod reference;
 pub mod replay;
 pub mod sample;
 pub mod skipblock;

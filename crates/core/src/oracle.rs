@@ -1,38 +1,38 @@
 //! Runtime changeset augmentation over the live object graph.
 //!
-//! Implements `flor-analysis`'s [`TypeOracle`] against the interpreter
-//! environment: "This changeset augmentation is done at runtime rather than
-//! statically, so Flor has an opportunity to check whether any object in the
-//! changeset is an instance of a PyTorch optimizer or learning rate
-//! scheduler" (paper §5.2.1).
+//! Implements `flor-analysis`'s [`TypeOracle`] against the program's live
+//! bindings, read through the executor boundary ([`Bindings`]): "This
+//! changeset augmentation is done at runtime rather than statically, so
+//! Flor has an opportunity to check whether any object in the changeset
+//! is an instance of a PyTorch optimizer or learning rate scheduler"
+//! (paper §5.2.1).
 //!
 //! The two encoded library facts become pointer-chasing over `Rc`
 //! identities: an optimizer's model field is matched back to whichever
-//! environment name binds that same allocation.
+//! bound name holds that same allocation.
 
-use crate::env::Env;
 use crate::value::{Obj, Value};
+use crate::vm::Bindings;
 use flor_analysis::TypeOracle;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// A [`TypeOracle`] over a live environment.
+/// A [`TypeOracle`] over a program's live bindings.
 pub struct EnvOracle<'a> {
-    env: &'a Env,
+    bindings: Bindings<'a>,
 }
 
 impl<'a> EnvOracle<'a> {
-    /// Oracle view of `env`.
-    pub fn new(env: &'a Env) -> Self {
-        EnvOracle { env }
+    /// Oracle view of `bindings`.
+    pub fn new(bindings: Bindings<'a>) -> Self {
+        EnvOracle { bindings }
     }
 
-    /// Finds the environment name bound to exactly this object allocation.
+    /// Finds the name bound to exactly this object allocation (the first
+    /// in sorted order, so resolution is deterministic).
     fn name_of(&self, target: &Rc<RefCell<Obj>>) -> Option<String> {
-        let mut names: Vec<&str> = self.env.names().collect();
-        names.sort_unstable(); // deterministic resolution
-        for name in names {
-            if let Some(Value::Obj(rc)) = self.env.try_get(name) {
+        for name in self.bindings.names() {
+            if let Some(Value::Obj(rc)) = self.bindings.get(name) {
                 if Rc::ptr_eq(rc, target) {
                     return Some(name.to_string());
                 }
@@ -44,7 +44,7 @@ impl<'a> EnvOracle<'a> {
 
 impl TypeOracle for EnvOracle<'_> {
     fn reaches(&self, name: &str) -> Vec<String> {
-        let Some(Value::Obj(rc)) = self.env.try_get(name) else {
+        let Some(Value::Obj(rc)) = self.bindings.get(name) else {
             return Vec::new();
         };
         let obj = rc.borrow();
@@ -64,6 +64,7 @@ impl TypeOracle for EnvOracle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::Env;
     use flor_analysis::augment_changeset;
     use flor_ml::models::mlp;
     use flor_ml::{Sgd, StepLr};
@@ -90,14 +91,14 @@ mod tests {
     #[test]
     fn optimizer_reaches_its_model_by_name() {
         let env = env_with_training_objects();
-        let oracle = EnvOracle::new(&env);
+        let oracle = EnvOracle::new(Bindings::new(&env, None));
         assert_eq!(oracle.reaches("optimizer"), vec!["net".to_string()]);
     }
 
     #[test]
     fn scheduler_reaches_its_optimizer() {
         let env = env_with_training_objects();
-        let oracle = EnvOracle::new(&env);
+        let oracle = EnvOracle::new(Bindings::new(&env, None));
         assert_eq!(oracle.reaches("scheduler"), vec!["optimizer".to_string()]);
     }
 
@@ -105,7 +106,7 @@ mod tests {
     fn figure6_augmentation_end_to_end() {
         // The paper's Figure 6 final step: {optimizer} → {optimizer, net}.
         let env = env_with_training_objects();
-        let oracle = EnvOracle::new(&env);
+        let oracle = EnvOracle::new(Bindings::new(&env, None));
         let augmented = augment_changeset(&["optimizer".to_string()], &oracle);
         assert_eq!(augmented, vec!["optimizer".to_string(), "net".to_string()]);
     }
@@ -113,7 +114,7 @@ mod tests {
     #[test]
     fn scheduler_chain_closes_to_model() {
         let env = env_with_training_objects();
-        let oracle = EnvOracle::new(&env);
+        let oracle = EnvOracle::new(Bindings::new(&env, None));
         let augmented = augment_changeset(&["scheduler".to_string()], &oracle);
         assert_eq!(
             augmented,
@@ -129,7 +130,7 @@ mod tests {
     fn plain_names_reach_nothing() {
         let mut env = env_with_training_objects();
         env.set("lr", Value::Float(0.1));
-        let oracle = EnvOracle::new(&env);
+        let oracle = EnvOracle::new(Bindings::new(&env, None));
         assert!(oracle.reaches("lr").is_empty());
         assert!(oracle.reaches("undefined").is_empty());
         assert!(oracle.reaches("net").is_empty());
@@ -150,7 +151,7 @@ mod tests {
                 model: anon_model,
             }),
         );
-        let oracle = EnvOracle::new(&env);
+        let oracle = EnvOracle::new(Bindings::new(&env, None));
         assert!(oracle.reaches("optimizer").is_empty());
     }
 }

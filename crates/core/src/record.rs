@@ -347,6 +347,46 @@ log(\"accuracy\", acc)
         assert_eq!(stored_src.matches("skipblock").count(), 1);
     }
 
+    /// Record executes on the VM: its log equals a vanilla run on the
+    /// reference tree-walker, it dispatches bytecode, and whole-environment
+    /// checkpoints (`lean: false`) read exactly the names bound at the
+    /// block through the slot boundary — not the stale `Env`, and not
+    /// the slots of names the program has yet to assign (`acc`).
+    #[test]
+    fn record_runs_on_the_vm_and_reads_names_through_slots() {
+        let reference = |src: &str| {
+            let mut interp = Interp::new(Mode::Vanilla);
+            interp
+                .run_reference(&instrument(&parse(src).unwrap()).program)
+                .unwrap();
+            interp
+        };
+        let root = tmproot("vm-lean-off");
+        let mut opts = opts_exact(&root);
+        opts.lean = false;
+        let dispatched = || flor_obs::metrics::counter("vm.dispatch").get();
+        let d0 = dispatched();
+        let report = record(TRAIN_SRC, &opts).unwrap();
+        assert!(dispatched() > d0, "record must execute bytecode");
+        assert_eq!(report.log, reference(TRAIN_SRC).log.into_entries());
+
+        // The postamble (`acc = evaluate(...)`) runs after every block.
+        let before_post = TRAIN_SRC.split("acc = evaluate").next().unwrap();
+        let bound_at_block = reference(before_post);
+        let mut expected: Vec<&str> = bound_at_block.env.names().collect();
+        expected.sort_unstable();
+        assert!(!expected.contains(&"acc"));
+        let store = CheckpointStore::open(&root).unwrap();
+        for g in 0..6 {
+            let bytes = store.get_bytes("sb_0", g).unwrap();
+            let flor_chkpt::CVal::Map(pairs) = flor_chkpt::decode(bytes.as_ref()).unwrap() else {
+                panic!("checkpoint sb_0.{g} is not a name map");
+            };
+            let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, expected, "checkpoint sb_0.{g}");
+        }
+    }
+
     #[test]
     fn deterministic_across_records() {
         // Training itself is bit-deterministic. Checkpoint *placement* under

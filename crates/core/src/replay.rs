@@ -49,19 +49,14 @@ pub struct ReplayOptions {
     /// sized by the run's recorded cost profile, and drained workers steal
     /// off stragglers.
     pub steal: bool,
-    /// Execute on the bytecode VM (default). Off, the tree-walking
-    /// interpreter runs instead — the fallback and differential oracle;
-    /// both executors produce byte-identical logs and final state.
-    pub vm: bool,
     /// Compiled-module cache shared across replay jobs, keyed by
     /// `source_version`. None compiles fresh per job (still once, shared
     /// by all workers of the job).
     pub module_cache: Option<Arc<crate::vm::ModuleCache>>,
     /// Dependency-aware slicing (default on): statements outside the
-    /// backward slice of the log statements are elided from execution —
-    /// both executors run the same pruned program. Off (or when the
-    /// slicer refuses: aliasing it can't track, rule-5 calls, impure
-    /// hindsight diffs), the full program runs.
+    /// backward slice of the log statements compile to nothing. Off (or
+    /// when the slicer refuses: aliasing it can't track, rule-5 calls,
+    /// impure hindsight diffs), the full program runs.
     pub slice: bool,
     /// Cooperative cancellation. When set, workers poll the token at
     /// range-pull and per-iteration boundaries and the replay fails fast
@@ -75,7 +70,6 @@ impl Default for ReplayOptions {
             workers: 1,
             init_mode: InitMode::Strong,
             steal: false,
-            vm: true,
             module_cache: None,
             slice: true,
             cancel: None,
@@ -365,18 +359,17 @@ pub fn replay_streaming(
     } else {
         None
     };
-    let (exec_prog, slice_suffix, statements_elided, live_permille) = match &slice_plan {
+    let (slice_suffix, statements_elided, live_permille) = match &slice_plan {
         Some(plan) if plan.is_active() => {
             let pruned = flor_lang::prune_program(&inst.program, &plan.dead);
             let hash = crate::record::fnv1a64(flor_lang::print_program(&pruned).as_bytes());
             (
-                pruned,
                 Some(format!("+s{hash:016x}")),
                 u64::from(plan.elided_stmts),
                 plan.live_permille(),
             )
         }
-        _ => (inst.program.clone(), None, 0, 1000),
+        _ => (None, 0, 1000),
     };
 
     // Lower the instrumented program to bytecode once per replay job —
@@ -385,22 +378,18 @@ pub fn replay_streaming(
     // reused across jobs keyed by the probed source's version (plus the
     // slice's content hash when one applies), so repeat hindsight queries
     // over one source version skip the pass entirely.
-    let module = if opts.vm {
-        let mut key = crate::record::source_version(new_src);
-        if let Some(sfx) = &slice_suffix {
-            key.push_str(sfx);
-        }
-        let dead = slice_plan
-            .as_ref()
-            .filter(|p| p.is_active())
-            .map(|p| p.dead.clone())
-            .unwrap_or_default();
-        Some(match &opts.module_cache {
-            Some(cache) => cache.get_or_compile_sliced(&key, &inst.program, &dead)?,
-            None => crate::vm::compile_program_sliced(&inst.program, &dead)?,
-        })
-    } else {
-        None
+    let mut key = crate::record::source_version(new_src);
+    if let Some(sfx) = &slice_suffix {
+        key.push_str(sfx);
+    }
+    let dead = slice_plan
+        .as_ref()
+        .filter(|p| p.is_active())
+        .map(|p| p.dead.clone())
+        .unwrap_or_default();
+    let module = match &opts.module_cache {
+        Some(cache) => cache.get_or_compile_sliced(&key, &inst.program, &dead)?,
+        None => crate::vm::compile_program_sliced(&inst.program, &dead)?,
     };
 
     // Run the workers. Interpreter values are Rc-based (single-threaded by
@@ -418,7 +407,6 @@ pub fn replay_streaming(
     let (tx, rx) = std::sync::mpsc::channel::<StreamMsg>();
     let mut handles = Vec::with_capacity(workers);
     for pid in 0..workers {
-        let prog = exec_prog.clone();
         let module = module.clone();
         let store = store.clone();
         let probed_blocks = probed_blocks.clone();
@@ -448,10 +436,7 @@ pub fn replay_streaming(
                     sink: Some(sink.clone()),
                 };
                 let mut interp = Interp::new(Mode::Replay(Box::new(ctx)));
-                match &module {
-                    Some(m) => interp.run_vm(m)?,
-                    None => interp.run(&prog)?,
-                }
+                interp.run_vm(&module)?;
                 let Mode::Replay(ctx) = interp.mode else {
                     unreachable!()
                 };
@@ -676,6 +661,26 @@ mod tests {
         );
         assert_ne!(probed, TRAIN_SRC, "probe marker must match");
         probed
+    }
+
+    #[test]
+    fn bad_item_probe_is_a_runtime_error_not_a_panic() {
+        let root = tmproot("bad-item");
+        record(TRAIN_SRC, &opts_exact(&root)).unwrap();
+        let probed = TRAIN_SRC.replace(
+            "        optimizer.step()\n",
+            "        optimizer.step()\n        log(\"bad\", preds.item())\n",
+        );
+        assert_ne!(probed, TRAIN_SRC);
+        for workers in [1, 2] {
+            let Err(err) = replay(&probed, &root, &ReplayOptions::with_stealing(workers)) else {
+                panic!("a multi-element item() must fail the replay");
+            };
+            let msg = err.to_string();
+            assert!(matches!(err, FlorError::Runtime(_)), "{err:?}");
+            assert!(msg.contains("item()") && msg.contains("(20, 3)"), "{msg}");
+            assert!(!msg.contains("panicked"), "{msg}");
+        }
     }
 
     #[test]

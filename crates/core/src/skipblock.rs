@@ -24,9 +24,9 @@ use crate::error::{rt, FlorError};
 use crate::interp::{Interp, Mode, Phase};
 use crate::oracle::EnvOracle;
 use crate::value::Value;
+use crate::vm::Bindings;
 use flor_analysis::augment_changeset;
 use flor_chkpt::{encode, encode_into, BytesMut, CVal, Payload, SerializeSnapshot};
-use flor_lang::ast::Stmt;
 use std::sync::Arc;
 
 /// Sequence-number base for SkipBlocks executed outside the main loop,
@@ -66,52 +66,18 @@ impl SerializeSnapshot for CValSnapshot {
     }
 }
 
-/// A skipblock body, abstracted over the executor (tree statements or a
-/// compiled VM instruction range), mirroring `interp::LoopBody`.
-pub(crate) enum BlockBody<'a> {
-    /// Walk the AST statements.
-    Tree(&'a [Stmt]),
-    /// Execute a compiled instruction range on the VM.
-    Vm {
-        /// First instruction of the body.
-        start: usize,
-        /// One past the last instruction of the body.
-        end: usize,
-    },
-}
-
-fn exec_block_body(interp: &mut Interp, body: &BlockBody<'_>) -> Result<(), FlorError> {
-    match body {
-        BlockBody::Tree(b) => interp.exec_body(b),
-        BlockBody::Vm { start, end } => interp.vm_run_range(*start, *end),
-    }
-}
-
-/// Executes a `skipblock "id":` statement in the interpreter's current mode.
-pub fn exec_skipblock(interp: &mut Interp, id: &str, body: &[Stmt]) -> Result<(), FlorError> {
-    exec_skipblock_impl(interp, id, &BlockBody::Tree(body))
-}
-
-/// VM entry point: executes the skipblock whose compiled body is
-/// `ops[start..end]` in the interpreter's current mode.
-pub(crate) fn exec_skipblock_vm(
+/// Executes the skipblock whose compiled body is `ops[start..end]` in
+/// the interpreter's current mode (the VM's `SkipBlock` op).
+pub(crate) fn exec_skipblock(
     interp: &mut Interp,
     id: &str,
     start: usize,
     end: usize,
 ) -> Result<(), FlorError> {
-    exec_skipblock_impl(interp, id, &BlockBody::Vm { start, end })
-}
-
-fn exec_skipblock_impl(
-    interp: &mut Interp,
-    id: &str,
-    body: &BlockBody<'_>,
-) -> Result<(), FlorError> {
     match &interp.mode {
-        Mode::Vanilla => exec_block_body(interp, body),
-        Mode::Record(_) => exec_record(interp, id, body),
-        Mode::Replay(_) => exec_replay(interp, id, body),
+        Mode::Vanilla => interp.vm_run_range(start, end),
+        Mode::Record(_) => exec_record(interp, id, start, end),
+        Mode::Replay(_) => exec_replay(interp, id, start, end),
     }
 }
 
@@ -142,14 +108,17 @@ fn next_seq(
     }
 }
 
-fn exec_record(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<(), FlorError> {
+fn exec_record(interp: &mut Interp, id: &str, start: usize, end: usize) -> Result<(), FlorError> {
     let mut span = flor_obs::span(flor_obs::Category::Record, "record_block");
     // 1. Execute the enclosed loop, timing its compute (C_i).
     let t0 = flor_obs::clock::now_ns();
-    exec_block_body(interp, body)?;
+    interp.vm_run_range(start, end)?;
     let compute_ns = flor_obs::clock::since_ns(t0);
     flor_obs::histogram!("record.compute_ns").observe(compute_ns);
 
+    // Names are read through the executor boundary: mid-run, the live
+    // values sit in the VM frame's slots, not in the `Env`.
+    let bindings = Bindings::new(&interp.env, interp.vm.as_deref());
     let Mode::Record(ctx) = &mut interp.mode else {
         unreachable!("exec_record outside record mode")
     };
@@ -165,20 +134,17 @@ fn exec_record(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
     //    library knowledge over the live object graph (paper §5.2.1).
     //    With lean checkpointing disabled (ablation), every bound name is
     //    captured instead.
-    let env = &interp.env;
     let augmented = if ctx.lean {
         let static_cs = ctx.static_changesets.get(id).cloned().unwrap_or_default();
-        augment_changeset(&static_cs, &EnvOracle::new(env))
+        augment_changeset(&static_cs, &EnvOracle::new(bindings))
     } else {
-        let mut names: Vec<String> = env.names().map(str::to_string).collect();
-        names.sort_unstable();
-        names
+        bindings.names().into_iter().map(str::to_string).collect()
     };
 
     // 3. Predict the materialization cost from a cheap size estimate.
     let est_bytes: usize = augmented
         .iter()
-        .filter_map(|name| env.try_get(name))
+        .filter_map(|name| bindings.get(name))
         .map(|v| v.estimate_snapshot_bytes())
         .sum();
     let est_m = ctx.controller.estimate_materialize_ns(id, est_bytes as u64);
@@ -189,7 +155,7 @@ fn exec_record(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
         let t1 = flor_obs::clock::now_ns();
         let mut pairs: Vec<(String, CVal)> = Vec::with_capacity(augmented.len());
         for name in &augmented {
-            if let Some(v) = env.try_get(name) {
+            if let Some(v) = bindings.get(name) {
                 pairs.push((name.clone(), v.snapshot()?));
             }
         }
@@ -228,7 +194,7 @@ fn exec_record(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
     Ok(())
 }
 
-fn exec_replay(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<(), FlorError> {
+fn exec_replay(interp: &mut Interp, id: &str, start: usize, end: usize) -> Result<(), FlorError> {
     // Decide while holding the replay context.
     let (do_execute, seq) = {
         let Mode::Replay(ctx) = &mut interp.mode else {
@@ -258,7 +224,7 @@ fn exec_replay(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
         // hindsight logging's deferred record work, so cat = Record.
         let mut span = flor_obs::span(flor_obs::Category::Record, "exec_block");
         span.set_args(seq, 0);
-        exec_block_body(interp, body)?;
+        interp.vm_run_range(start, end)?;
         if let Mode::Replay(ctx) = &mut interp.mode {
             ctx.stats.executed += 1;
         }
@@ -301,13 +267,13 @@ fn exec_replay(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
             "checkpoint {id:?}.{seq} has a malformed payload"
         )));
     };
-    // Restored names bind through the interpreter's name boundary: with
-    // a VM frame live they land in the compiled module's slots (where
-    // the instruction stream reads them); otherwise in the `Env`. Object
-    // restores mutate in place through the `Rc`, so an allocation
+    // Restored names bind through the interpreter's name boundary: they
+    // land in the compiled module's slots (where the instruction stream
+    // reads them), or in the `Env` for names the module never mentions.
+    // Object restores mutate in place through the `Rc`, so an allocation
     // aliased by both a slot and the env stays consistent either way.
     for (name, snap) in &pairs {
-        let existing = interp.lookup_name(name);
+        let existing = interp.bindings().get(name);
         let restored = Value::restore(snap, existing)?;
         interp.bind_name(name, restored);
     }
@@ -321,7 +287,7 @@ fn exec_replay(interp: &mut Interp, id: &str, body: &BlockBody<'_>) -> Result<()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::adaptive::AdaptiveController;
     use crate::interp::{RecordCtx, ReplayCtx, ReplayStats};
@@ -331,7 +297,7 @@ mod tests {
     use std::collections::{HashMap, HashSet};
     use std::path::PathBuf;
 
-    fn tmproot(tag: &str) -> PathBuf {
+    pub(crate) fn tmproot(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "flor-sb-test-{tag}-{}-{:?}",
             std::process::id(),
@@ -355,7 +321,7 @@ mod tests {
         }))
     }
 
-    fn replay_ctx(store: Arc<CheckpointStore>, probed: &[&str]) -> Mode {
+    pub(crate) fn replay_ctx(store: Arc<CheckpointStore>, probed: &[&str]) -> Mode {
         Mode::Replay(Box::new(ReplayCtx {
             store,
             pid: 0,

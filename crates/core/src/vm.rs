@@ -1,12 +1,12 @@
-//! The bytecode replay VM.
+//! The bytecode VM: the executor for every mode.
 //!
 //! Executes [`flor_lang::compile::Module`]s — flat instruction streams
-//! with a constant pool and slot-resolved variables — in place of the
-//! tree-walking interpreter on the replay hot path. The tree-walker
-//! stays available (`ReplayOptions.vm = false`) as the fallback and the
-//! differential oracle: both executors route every value-level operation
-//! through the same shared helpers in [`crate::interp`], so results and
-//! error strings agree byte-for-byte.
+//! with a constant pool and slot-resolved variables. Vanilla runs,
+//! record runs and replay workers all execute here ([`Interp::run`]
+//! compiles and calls [`Interp::run_vm`]). The tree-walker in
+//! [`crate::reference`] is kept only as the test oracle: both executors
+//! route every value-level operation through the same shared helpers in
+//! [`crate::interp`], so results and error strings agree byte-for-byte.
 //!
 //! Execution model:
 //!
@@ -19,11 +19,14 @@
 //!   VM at an iteration boundary via `vm_run_range`, with
 //!   checkpoint-restored values bound into slots through the
 //!   [`Interp::bind_name`] boundary.
-//! - **`Env` at the boundary only.** Checkpoint restore/materialization
-//!   and post-run inspection see names, not slots: restores write
-//!   through `bind_name`, and a successful run flushes slots back into
-//!   the `Env` so callers observe the same final state the tree-walker
-//!   would leave.
+//! - **`Env` at the boundary only.** Checkpoint materialization,
+//!   changeset augmentation and restore see names, not slots: record
+//!   reads through [`Bindings`] (live slots first, then the `Env`),
+//!   restores write through `bind_name`, and a successful run flushes
+//!   slots back into the `Env` so callers can inspect the final state.
+//!   Slots are never copied into the `Env` mid-run: an extra reference
+//!   would pin copy-on-write tensor slabs, and the next in-place update
+//!   would copy them.
 //!
 //! Compiled modules are cached in a [`ModuleCache`] keyed by
 //! `source_version` (the same content address the registry's query cache
@@ -31,10 +34,11 @@
 //! compilation entirely — `vm.compile` stays flat while
 //! `vm.module_cache_hits` climbs.
 
+use crate::env::Env;
 use crate::error::{rt, FlorError};
 use crate::interp::{
     bin_op_fast, bin_op_values, index_value, items_of, store_attr_value, store_index_value,
-    unary_op_value, unpack_values, CallArgs, Interp, LoopBody, Mode,
+    unary_op_value, unpack_values, CallArgs, Interp, Mode,
 };
 use crate::skipblock;
 use crate::value::Value;
@@ -182,19 +186,10 @@ impl ModuleCache {
 }
 
 impl Interp {
-    /// Executes a compiled module to completion on the VM.
-    ///
-    /// Semantically equivalent to [`Interp::run`] over the program the
-    /// module was compiled from, for Vanilla and Replay modes. Record
-    /// mode is rejected: materialization reads the environment by name
-    /// mid-run, which is exactly the boundary the VM moves — recording
-    /// always tree-walks.
+    /// Executes a compiled module to completion on the VM, in any mode.
+    /// A record run flushes its materializer before returning, so every
+    /// checkpoint it submitted is durable once this returns `Ok`.
     pub fn run_vm(&mut self, module: &Arc<Module>) -> Result<(), FlorError> {
-        if matches!(self.mode, Mode::Record(_)) {
-            return Err(rt(
-                "the bytecode VM does not support record mode; record runs tree-walk",
-            ));
-        }
         let mut slots: Vec<Option<Value>> = vec![None; module.slot_count()];
         // Pre-seed slots from any pre-bound environment (direct
         // embedders); a fresh interpreter starts empty.
@@ -219,17 +214,19 @@ impl Interp {
         }
         let frame = self.vm.take().expect("vm frame still installed");
         flor_obs::counter!("vm.dispatch").add(frame.dispatched);
-        if result.is_ok() {
-            // Boundary flush: bound slots become env entries so callers
-            // (replay drivers, tests, the native layer) observe the same
-            // final state the tree-walker leaves behind.
-            for (i, v) in frame.slots.into_iter().enumerate() {
-                if let Some(v) = v {
-                    self.env.set(frame.module.slot_names[i].clone(), v);
-                }
+        result?;
+        // Boundary flush: bound slots become env entries so callers
+        // (replay drivers, tests, the native layer) can inspect the final
+        // state by name.
+        for (i, v) in frame.slots.into_iter().enumerate() {
+            if let Some(v) = v {
+                self.env.set(frame.module.slot_names[i].clone(), v);
             }
         }
-        result
+        if let Mode::Record(ctx) = &mut self.mode {
+            ctx.materializer.flush();
+        }
+        Ok(())
     }
 
     /// Binds a name through the executor boundary: into the live VM
@@ -245,16 +242,9 @@ impl Interp {
         self.env.set(name.to_string(), value);
     }
 
-    /// Reads a name through the executor boundary (slot first, then
-    /// `Env`). Checkpoint restore reads the existing value through here
-    /// to restore objects in place.
-    pub(crate) fn lookup_name(&self, name: &str) -> Option<&Value> {
-        if let Some(frame) = self.vm.as_ref() {
-            if let Some(&slot) = frame.module.slot_of.get(name) {
-                return frame.slots[slot as usize].as_ref();
-            }
-        }
-        self.env.try_get(name)
+    /// The program's bindings seen through the executor boundary.
+    pub(crate) fn bindings(&self) -> Bindings<'_> {
+        Bindings::new(&self.env, self.vm.as_deref())
     }
 
     /// Writes the main-loop variable's slot (per-iteration binding).
@@ -538,19 +528,12 @@ impl Interp {
                     let info = module.loops[li as usize];
                     let iterable = self.vm_pop();
                     let items = items_of(iterable)?;
-                    self.exec_main_loop_impl(
-                        &LoopBody::Vm {
-                            var_slot: info.var_slot,
-                            start: info.body_start,
-                            end: info.body_end,
-                        },
-                        items,
-                    )?;
+                    self.run_main_loop(info, items)?;
                     pc = info.body_end;
                 }
                 Some(Op::SkipBlock(bi)) => {
                     let info = &module.blocks[bi as usize];
-                    skipblock::exec_skipblock_vm(self, &info.id, info.body_start, info.body_end)?;
+                    skipblock::exec_skipblock(self, &info.id, info.body_start, info.body_end)?;
                     pc = info.body_end;
                 }
                 Some(op) => unreachable!("pure op {op:?} cannot defer"),
@@ -566,6 +549,56 @@ impl Interp {
 fn unbound(module: &Module, slot: u16) -> FlorError {
     let name = &module.slot_names[slot as usize];
     rt(format!("name {name:?} is not defined"))
+}
+
+/// Read-only view of a program's bindings through the executor
+/// boundary: a name bound in the live frame's slot wins, any other name
+/// falls back to the `Env`. Record-mode materialization and changeset
+/// augmentation read names through it while a module is mid-run — the
+/// `Env` alone is stale until the final flush.
+#[derive(Clone, Copy)]
+pub struct Bindings<'a> {
+    env: &'a Env,
+    frame: Option<&'a VmFrame>,
+}
+
+impl<'a> Bindings<'a> {
+    /// View over `env`, overlaid by `frame`'s slots when a module is
+    /// executing.
+    pub fn new(env: &'a Env, frame: Option<&'a VmFrame>) -> Self {
+        Bindings { env, frame }
+    }
+
+    /// The value bound to `name`, if any.
+    pub fn get(&self, name: &str) -> Option<&'a Value> {
+        if let Some(frame) = self.frame {
+            if let Some(&slot) = frame.module.slot_of.get(name) {
+                return frame.slots[slot as usize].as_ref();
+            }
+        }
+        self.env.try_get(name)
+    }
+
+    /// Every bound name, sorted: filled slots plus `Env` names that no
+    /// slot shadows. A slot not yet assigned is not a binding.
+    pub fn names(&self) -> Vec<&'a str> {
+        let mut names: Vec<&'a str> = match self.frame {
+            Some(frame) => {
+                let slot_of = &frame.module.slot_of;
+                frame
+                    .slots
+                    .iter()
+                    .zip(&frame.module.slot_names)
+                    .filter(|(v, _)| v.is_some())
+                    .map(|(_, n)| n.as_str())
+                    .chain(self.env.names().filter(|n| !slot_of.contains_key(*n)))
+                    .collect()
+            }
+            None => self.env.names().collect(),
+        };
+        names.sort_unstable();
+        names
+    }
 }
 
 /// Rebuilds the positional/keyword split for call site `ci` from the
@@ -591,7 +624,7 @@ mod tests {
     fn run_both(src: &str) -> (Interp, Interp) {
         let prog = parse(src).expect("parse");
         let mut tree = Interp::new(Mode::Vanilla);
-        tree.run(&prog).expect("tree run");
+        tree.run_reference(&prog).expect("tree run");
         let module = compile_program(&prog).expect("compile");
         let mut vm = Interp::new(Mode::Vanilla);
         vm.run_vm(&module).expect("vm run");
@@ -601,7 +634,7 @@ mod tests {
     fn assert_same_outcome(src: &str) {
         let prog = parse(src).expect("parse");
         let mut tree = Interp::new(Mode::Vanilla);
-        let tree_res = tree.run(&prog);
+        let tree_res = tree.run_reference(&prog);
         let module = compile_program(&prog).expect("compile");
         let mut vm = Interp::new(Mode::Vanilla);
         let vm_res = vm.run_vm(&module);
@@ -711,36 +744,6 @@ mod tests {
         assert_same_outcome(
             "acc = 0\nfor epoch in flor.partition(range(6)):\n    acc = acc + epoch\n    log(\"acc\", acc)\nlog(\"done\", acc)\n",
         );
-    }
-
-    #[test]
-    fn record_mode_is_rejected() {
-        let prog = parse("x = 1\n").unwrap();
-        let module = compile_program(&prog).unwrap();
-        let dir = std::env::temp_dir().join(format!(
-            "flor-vm-rec-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = Arc::new(flor_chkpt::CheckpointStore::open(dir).unwrap());
-        let mut interp = Interp::new(Mode::Record(Box::new(crate::interp::RecordCtx {
-            store: store.clone(),
-            materializer: flor_chkpt::Materializer::new(
-                store,
-                flor_chkpt::Strategy::ForkBatched,
-                2,
-            ),
-            controller: crate::adaptive::AdaptiveController::default(),
-            static_changesets: Default::default(),
-            lean: true,
-            main_iter: None,
-            standalone_seq: Default::default(),
-            blocks_this_iter: Default::default(),
-            profile: crate::profile::ProfileBuilder::new(),
-        })));
-        let err = interp.run_vm(&module).unwrap_err();
-        assert!(err.to_string().contains("record"), "got: {err}");
     }
 
     #[test]

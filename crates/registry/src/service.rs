@@ -110,9 +110,6 @@ pub struct Registry {
     /// keyed by the probed source's version — repeat queries over one
     /// source version (even against different runs) skip the compile pass.
     module_cache: Arc<flor_core::ModuleCache>,
-    /// Execute queries on the bytecode VM (default). Cleared, the
-    /// tree-walking interpreter replays instead (`flor query --no-vm`).
-    vm: std::sync::atomic::AtomicBool,
     /// Slice replays down to the dependency cone of their logging
     /// statements (default). Cleared (`flor query --no-slice`), every
     /// re-executed body runs in full and the cross-query slice cache is
@@ -134,15 +131,8 @@ impl Registry {
             stores: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
             module_cache: Arc::new(flor_core::ModuleCache::new()),
-            vm: std::sync::atomic::AtomicBool::new(true),
             slice: std::sync::atomic::AtomicBool::new(true),
         })
-    }
-
-    /// Selects the replay executor for subsequent queries: `true` (the
-    /// default) runs the bytecode VM, `false` the tree-walking fallback.
-    pub fn set_vm(&self, on: bool) {
-        self.vm.store(on, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Enables (`true`, the default) or disables dependency slicing and
@@ -514,7 +504,6 @@ impl Registry {
             workers: workers.max(1),
             init_mode: InitMode::Strong,
             steal: true,
-            vm: self.vm.load(std::sync::atomic::Ordering::Relaxed),
             slice: self.slice.load(std::sync::atomic::Ordering::Relaxed),
             module_cache: Some(self.module_cache.clone()),
             cancel,

@@ -272,6 +272,31 @@ fn unknown_run_is_a_clean_error() {
 }
 
 #[test]
+fn bad_item_probe_is_an_engine_error_not_a_worker_panic() {
+    let root = tmproot("bad-item");
+    let reg = Registry::open(&root).unwrap();
+    let src = train_src(3, 0.1);
+    reg.record_run("r", &src, no_adaptive).unwrap();
+    let bad = src.replace(
+        "        optimizer.step()\n",
+        "        optimizer.step()\n        log(\"bad\", preds.item())\n",
+    );
+    assert_ne!(bad, src);
+    let err = reg.query("r", &bad, 2).unwrap_err();
+    let msg = err.to_string();
+    assert!(
+        matches!(err, flor_registry::RegistryError::Engine(_)),
+        "{err:?}"
+    );
+    assert!(msg.contains("item()") && msg.contains("(20, 2)"), "{msg}");
+    assert!(!msg.contains("panicked"), "{msg}");
+    // The failure is not cached: a well-formed probe still answers.
+    let ok = reg.query("r", &probed(&src), 2).unwrap();
+    assert!(!ok.cached);
+    assert!(ok.anomalies.is_empty(), "{:?}", ok.anomalies);
+}
+
+#[test]
 fn scheduler_completes_queued_queries_across_runs() {
     let reg_root = tmproot("sched");
     let reg = Arc::new(Registry::open(&reg_root).unwrap());

@@ -79,18 +79,4 @@ fn second_query_reuses_compiled_module_without_compiling() {
     // Same hindsight answer from both runs.
     assert_eq!(a.log, b.log);
     assert_eq!(a.probes, 1);
-
-    // Tree-walk fallback: never compiles, never touches the module
-    // cache, still answers. (Same test function — these assertions share
-    // the process-wide counters with the ones above.)
-    reg.set_vm(false);
-    let probed2 = SRC.replace(
-        "    log(\"loss\", avg.mean())\n",
-        "    log(\"loss\", avg.mean())\n    log(\"hindsight_gn\", net.grad_norm())\n",
-    );
-    let c3 = compiles();
-    let out = reg.query("run-a", &probed2, 2).unwrap();
-    assert_eq!(compiles() - c3, 0, "tree-walk queries never compile");
-    assert_eq!(out.probes, 1);
-    assert!(out.anomalies.is_empty(), "{:?}", out.anomalies);
 }

@@ -311,12 +311,12 @@ fn arb_stmt_src() -> impl Strategy<Value = String> {
 }
 
 // ---------------------------------------------------------------------------
-// Bytecode VM ≡ tree-walking interpreter
+// Bytecode VM ≡ reference tree-walker
 // ---------------------------------------------------------------------------
 
 proptest! {
     /// Differential oracle over random programs: the bytecode VM and the
-    /// tree-walking interpreter must agree on the complete outcome —
+    /// reference tree-walker must agree on the complete outcome —
     /// identical error strings on failure; identical log streams and
     /// final environments on success. The generators skew heavily toward
     /// runtime errors (unbound names, bad calls, type mismatches), so
@@ -332,7 +332,7 @@ proptest! {
         };
 
         let mut tree = Interp::new(Mode::Vanilla);
-        let tree_res = tree.run(&prog);
+        let tree_res = tree.run_reference(&prog);
         let module = flor_core::compile_program(&prog).expect("compile");
         let mut vm = Interp::new(Mode::Vanilla);
         let vm_res = vm.run_vm(&module);

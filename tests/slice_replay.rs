@@ -1,5 +1,5 @@
 //! End-to-end tests of dependency-aware incremental replay: sliced
-//! replays (dead-statement elision in both executors) must emit logs
+//! replays (dead-statement elision in the compiled module) must emit logs
 //! byte-identical to full replays, across probe placements, worker
 //! counts, and steal orders — and must refuse to slice when safety is
 //! unprovable.
@@ -20,12 +20,11 @@ fn store_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn opts(workers: usize, steal: bool, vm: bool, slice: bool) -> ReplayOptions {
+fn opts(workers: usize, steal: bool, slice: bool) -> ReplayOptions {
     ReplayOptions {
         workers,
         init_mode: InitMode::Strong,
         steal,
-        vm,
         slice,
         module_cache: None,
         cancel: None,
@@ -40,28 +39,26 @@ fn record_src(src: &str, tag: &str) -> PathBuf {
     root
 }
 
-/// Replays `probed` in every executor/steal/slice configuration and
-/// asserts each sliced log is byte-identical to the sequential unsliced
-/// tree-walk oracle. Returns one sliced report for counter assertions.
+/// Replays `probed` in every worker/steal configuration with slicing on
+/// and asserts each sliced log is byte-identical to the sequential
+/// unsliced oracle. Returns one sliced report for counter assertions.
 fn assert_sliced_matches_oracle(probed: &str, root: &PathBuf) -> ReplayReport {
-    let oracle = replay(probed, root, &opts(1, false, false, false)).unwrap();
+    let oracle = replay(probed, root, &opts(1, false, false)).unwrap();
     assert!(oracle.anomalies.is_empty(), "{:?}", oracle.anomalies);
     let mut sample = None;
-    for vm in [false, true] {
-        for (workers, steal) in [(1, false), (2, false), (3, true)] {
-            let sliced = replay(probed, root, &opts(workers, steal, vm, true)).unwrap();
-            assert!(
-                sliced.anomalies.is_empty(),
-                "vm={vm} workers={workers} steal={steal}: {:?}",
-                sliced.anomalies
-            );
-            assert_eq!(
-                sliced.log, oracle.log,
-                "sliced replay (vm={vm} workers={workers} steal={steal}) \
-                 diverged from the unsliced oracle"
-            );
-            sample = Some(sliced);
-        }
+    for (workers, steal) in [(1, false), (2, false), (3, true)] {
+        let sliced = replay(probed, root, &opts(workers, steal, true)).unwrap();
+        assert!(
+            sliced.anomalies.is_empty(),
+            "workers={workers} steal={steal}: {:?}",
+            sliced.anomalies
+        );
+        assert_eq!(
+            sliced.log, oracle.log,
+            "sliced replay (workers={workers} steal={steal}) \
+             diverged from the unsliced oracle"
+        );
+        sample = Some(sliced);
     }
     sample.unwrap()
 }
@@ -111,7 +108,7 @@ fn unsliced_replay_reports_no_elision() {
         "    log(\"loss\", acc)\n",
         "    log(\"loss\", acc)\n    log(\"probe_acc\", acc)\n",
     );
-    let full = replay(&probed, &root, &opts(2, false, true, false)).unwrap();
+    let full = replay(&probed, &root, &opts(2, false, false)).unwrap();
     assert_eq!(full.stats.statements_elided, 0);
     assert_eq!(full.stats.slice_permille, 0, "0 is the unsliced sentinel");
     assert_eq!(full.stats.slice_fraction(), 1.0);
@@ -248,15 +245,13 @@ for epoch in flor.partition(range(5)):
     assert_ne!(kept.len(), text.lines().count(), "one entry must drop");
     std::fs::write(&manifest, kept.join("\n") + "\n").unwrap();
 
-    for vm in [false, true] {
-        let rep = replay(src, &root, &opts(1, false, vm, true)).unwrap();
-        assert!(rep.anomalies.is_empty(), "vm={vm}: {:?}", rep.anomalies);
-        assert_eq!(
-            rep.log, rec.log,
-            "vm={vm}: gap re-execution must see the un-elided reset"
-        );
-        assert_eq!(rep.stats.executed, 1, "vm={vm}: the gap re-executes");
-    }
+    let rep = replay(src, &root, &opts(1, false, true)).unwrap();
+    assert!(rep.anomalies.is_empty(), "{:?}", rep.anomalies);
+    assert_eq!(
+        rep.log, rec.log,
+        "gap re-execution must see the un-elided reset"
+    );
+    assert_eq!(rep.stats.executed, 1, "the gap re-executes");
 }
 
 #[test]
@@ -329,7 +324,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// For arbitrary recordable programs, probe placements, worker
-    /// counts, and steal orders, a sliced replay (tree-walker and VM)
+    /// counts, and steal orders, a sliced replay
     /// emits a log byte-identical to the sequential unsliced oracle.
     #[test]
     fn sliced_replay_is_byte_identical_to_full_replay(
@@ -355,17 +350,15 @@ proptest! {
         prop_assert_ne!(&probed, &src);
         let root = record_src(&src, &format!("prop-{case}-{epochs}-{inner}-{dead}"));
 
-        let oracle = replay(&probed, &root, &opts(1, false, false, false)).unwrap();
+        let oracle = replay(&probed, &root, &opts(1, false, false)).unwrap();
         prop_assert!(oracle.anomalies.is_empty(), "{:?}", oracle.anomalies);
-        for vm in [false, true] {
-            for (workers, steal) in [(2, false), (3, true)] {
-                let sliced = replay(&probed, &root, &opts(workers, steal, vm, true)).unwrap();
-                prop_assert!(sliced.anomalies.is_empty(), "{:?}", sliced.anomalies);
-                prop_assert_eq!(
-                    &sliced.log, &oracle.log,
-                    "vm={} workers={} steal={} diverged\n{}", vm, workers, steal, probed
-                );
-            }
+        for (workers, steal) in [(2, false), (3, true)] {
+            let sliced = replay(&probed, &root, &opts(workers, steal, true)).unwrap();
+            prop_assert!(sliced.anomalies.is_empty(), "{:?}", sliced.anomalies);
+            prop_assert_eq!(
+                &sliced.log, &oracle.log,
+                "workers={} steal={} diverged\n{}", workers, steal, probed
+            );
         }
         let _ = std::fs::remove_dir_all(&root);
     }

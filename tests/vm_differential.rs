@@ -1,8 +1,13 @@
-//! Differential tests of the bytecode VM against the tree-walking
-//! interpreter across the replay executor — including stolen-range
-//! boundaries, where workers re-enter the VM at iteration granularity
-//! with checkpoint-restored slots.
+//! Differential tests of replay on the bytecode VM against the reference
+//! tree-walker: every worker count, steal setting and initialization
+//! mode — including stolen-range boundaries, where workers re-enter the
+//! VM at iteration granularity with checkpoint-restored slots — must
+//! emit exactly the log of a plain vanilla run of the probed script on
+//! the reference executor.
 
+use flor_analysis::instrument::instrument;
+use flor_core::interp::{Interp, Mode};
+use flor_core::logstream::LogEntry;
 use flor_core::record::{record, RecordOptions};
 use flor_core::replay::{replay, ReplayOptions};
 use flor_core::InitMode;
@@ -40,20 +45,28 @@ for epoch in range(8):
 log(\"final\", net.weight_norm())
 ";
 
-fn opts(workers: usize, steal: bool, vm: bool) -> ReplayOptions {
+fn opts(workers: usize, steal: bool, init_mode: InitMode) -> ReplayOptions {
     ReplayOptions {
         workers,
-        init_mode: InitMode::Strong,
+        init_mode,
         steal,
-        vm,
         slice: true,
         module_cache: None,
         cancel: None,
     }
 }
 
+/// The oracle: the instrumented script run start to finish in vanilla
+/// mode on the reference tree-walker (no checkpoints, no partitioning).
+fn reference_log(src: &str) -> Vec<LogEntry> {
+    let prog = instrument(&flor_lang::parse(src).unwrap()).program;
+    let mut interp = Interp::new(Mode::Vanilla);
+    interp.run_reference(&prog).unwrap();
+    interp.log.into_entries()
+}
+
 /// Inner-loop probe: forces the skipblocks to re-execute, so replay runs
-/// real training iterations on whichever executor is selected.
+/// real training iterations on the VM.
 fn inner_probed() -> String {
     let probed = TRAIN_SRC.replace(
         "        optimizer.step()\n",
@@ -82,42 +95,37 @@ fn vm_and_tree_walker_replay_identically_across_stolen_ranges() {
     record(TRAIN_SRC, &ropts).unwrap();
 
     for probed in [inner_probed(), outer_probed()] {
-        // Sequential, *unsliced* tree-walk replay is the oracle: every
-        // sliced configuration below must reproduce its log byte for byte.
-        let oracle = replay(
+        let oracle = reference_log(&probed);
+        // Sequential, *unsliced* replay must match the oracle too, so a
+        // slicer bug cannot hide behind every configuration being sliced.
+        let unsliced = replay(
             &probed,
             &root,
             &ReplayOptions {
                 slice: false,
-                ..opts(1, false, false)
+                ..opts(1, false, InitMode::Strong)
             },
         )
         .unwrap();
-        assert!(oracle.anomalies.is_empty(), "{:?}", oracle.anomalies);
+        assert!(unsliced.anomalies.is_empty(), "{:?}", unsliced.anomalies);
+        assert_eq!(
+            unsliced.log, oracle,
+            "unsliced replay diverged from the oracle"
+        );
 
         for workers in [1usize, 2, 3] {
             for steal in [false, true] {
-                let vm = replay(&probed, &root, &opts(workers, steal, true)).unwrap();
-                assert!(
-                    vm.anomalies.is_empty(),
-                    "vm workers={workers} steal={steal}: {:?}",
-                    vm.anomalies
-                );
-                assert_eq!(
-                    vm.log, oracle.log,
-                    "vm workers={workers} steal={steal} diverged from tree-walk oracle"
-                );
-                // Restore/execute counters are executor-independent but
-                // worker-dependent (strong init re-executes prefixes), so
-                // compare against the tree-walker at the same config.
-                // Stealing makes range ownership — and therefore the
-                // init-phase restore count — racy between runs, so the
-                // counter comparison only holds for static partitions.
-                let tree = replay(&probed, &root, &opts(workers, steal, false)).unwrap();
-                assert_eq!(tree.log, oracle.log);
-                if !steal {
-                    assert_eq!(vm.stats.restored, tree.stats.restored);
-                    assert_eq!(vm.stats.executed, tree.stats.executed);
+                for init in [InitMode::Strong, InitMode::Weak] {
+                    let vm = replay(&probed, &root, &opts(workers, steal, init)).unwrap();
+                    assert!(
+                        vm.anomalies.is_empty(),
+                        "workers={workers} steal={steal} init={init:?}: {:?}",
+                        vm.anomalies
+                    );
+                    assert_eq!(
+                        vm.log, oracle,
+                        "workers={workers} steal={steal} init={init:?} diverged from the oracle"
+                    );
                 }
             }
         }
@@ -133,26 +141,17 @@ fn poisoned_reuse_full_reexecution_matches_across_executors() {
     ropts.adaptive = false;
     record(TRAIN_SRC, &ropts).unwrap();
     let edited = TRAIN_SRC.replace("lr=0.1", "lr=0.05");
+    let oracle = reference_log(&edited);
 
-    // Static partitions: with stealing, range ownership (and so the
-    // execute counters) is racy between runs; the log comparison is the
-    // invariant either way and the stolen-range test covers steal=true.
-    let tree = replay(&edited, &root, &opts(3, false, false)).unwrap();
-    let vm = replay(&edited, &root, &opts(3, false, true)).unwrap();
-    assert_eq!(vm.log, tree.log, "full re-execution diverged");
-    assert_eq!(vm.stats.restored, 0);
-    assert_eq!(vm.stats.executed, tree.stats.executed);
-    // And under stealing the merged logs still agree. Steal timing is
+    let fixed = replay(&edited, &root, &opts(3, false, InitMode::Strong)).unwrap();
+    assert_eq!(fixed.log, oracle, "full re-execution diverged");
+    assert_eq!(fixed.stats.restored, 0);
+    // Under stealing the merged logs still agree. Steal timing is
     // nondeterministic, so run the comparison several times: a single run
     // caught the backward-steal-under-poisoning bug only ~1 round in 5.
-    for executor_vm in [false, true] {
-        for round in 0..5 {
-            let steal = replay(&edited, &root, &opts(3, true, executor_vm)).unwrap();
-            assert_eq!(
-                steal.log, tree.log,
-                "steal round {round} (vm={executor_vm}) diverged"
-            );
-            assert_eq!(steal.stats.restored, 0);
-        }
+    for round in 0..5 {
+        let steal = replay(&edited, &root, &opts(3, true, InitMode::Strong)).unwrap();
+        assert_eq!(steal.log, oracle, "steal round {round} diverged");
+        assert_eq!(steal.stats.restored, 0);
     }
 }

@@ -15,8 +15,9 @@
 #   BENCH_compress.json     — checkpoint bytes on disk + record submit
 #                             throughput of the delta-chain + parallel
 #                             compression write pipeline
-#   BENCH_interp.json       — replay interpreter: tree-walking AST executor vs
-#                             the bytecode VM, plus cold-compile vs
+#   BENCH_interp.json       — interpreter: per-iteration cost of the bytecode
+#                             VM (the executor for every mode) beside the
+#                             reference tree-walker, plus cold-compile vs
 #                             cached-module fetch costs
 #   BENCH_slice.json        — dependency-aware incremental replay: VM replay
 #                             with backward slicing off vs on, plus the

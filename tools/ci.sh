@@ -77,18 +77,17 @@ run cargo run --release -q -p flor-bench --bin bench_check -- \
 run cargo run --release -q -p flor-bench --bin bench_check -- \
     BENCH_replay_sched.json target/BENCH_replay_sched.quick.json \
     sim_paper_scale.improvement=higher sim_paper_scale.profile_bound=higher
-# The VM must stay well over the tree-walker on the interpreter-bound
-# fixture. vm_speedup is a ratio of same-run walls and so scale-
-# invariant between quick and full fixtures — but the tree-walker's
-# wall is dominated by HashMap name traffic whose per-process hash
-# seeding swings it ~2× run to run, so this band is catastrophe-only
-# (a real VM regression is ≥2×; the committed full-scale number is the
-# precise record).
+# Per-iteration cost of the VM (the executor for every mode) on the
+# interpreter-bound fixture, as an absolute ceiling: iteration cost is
+# scale-invariant between the quick and full fixtures. The 50% band
+# (ceiling 1.5 x 955.9 ns = 1.43 us/iter) clears the quick fixture's
+# run-to-run spread (0.93-1.10 us/iter over 7 runs on a 2-core host)
+# and still fails a 1.5x dispatch regression.
 (
-    export FLOR_BENCH_TOLERANCE=0.55
+    export FLOR_BENCH_TOLERANCE=0.50
     run cargo run --release -q -p flor-bench --bin bench_check -- \
         BENCH_interp.json target/BENCH_interp.quick.json \
-        vm_speedup=higher
+        vm.iter_ns=lower
 )
 # Sliced replay must stay well over the ≥3× acceptance bar on the
 # sparse-dependency fixture. slice_speedup ≈ the dead/live busy ratio of
