@@ -13,6 +13,26 @@ fn bench_tensor(c: &mut Criterion) {
     group.bench_function("matmul_64", |g| {
         g.iter(|| std::hint::black_box(&a).matmul(std::hint::black_box(&b)))
     });
+    // A hidden layer of the e2ebench `base` MLP (batch 64, width 128) on
+    // ReLU-sparse operands: forward x·W, weight gradient xᵀ·g without a
+    // transposed copy, input gradient g·Wᵀ through the tiled transpose.
+    let x = ops::relu(&init::uniform([64, 128], -1.0, 1.0, &mut rng));
+    let grad = ops::relu(&init::uniform([64, 128], -1.0, 1.0, &mut rng));
+    let w = init::kaiming_normal(128, 128, &mut rng);
+    group.throughput(Throughput::Elements(64 * 128 * 128));
+    group.bench_function("mlp_fwd_64x128x128", |g| {
+        g.iter(|| std::hint::black_box(&x).matmul(std::hint::black_box(&w)))
+    });
+    group.bench_function("mlp_dw_128x64x128", |g| {
+        g.iter(|| std::hint::black_box(&x).matmul_tn(std::hint::black_box(&grad)))
+    });
+    group.bench_function("mlp_dx_64x128x128", |g| {
+        g.iter(|| std::hint::black_box(&grad).matmul(&std::hint::black_box(&w).transpose()))
+    });
+    group.throughput(Throughput::Elements(128 * 128));
+    group.bench_function("transpose_128", |g| {
+        g.iter(|| std::hint::black_box(&w).transpose())
+    });
     group.bench_function("softmax_rows", |g| {
         g.iter(|| ops::softmax_rows(std::hint::black_box(&a)))
     });

@@ -779,7 +779,7 @@ impl Interp {
                 let mut n = net_rc.borrow_mut();
                 match &mut *n {
                     Obj::Model(m) => {
-                        let logits = m.forward(&model_input(m, &batch)?);
+                        let logits = m.forward(&model_input(m, &batch, "evaluate")?);
                         Ok(Value::Float(accuracy(&logits, &batch.y) as f64))
                     }
                     o => Err(rt(format!("evaluate() expects a model, got {}", o.kind()))),
@@ -995,7 +995,7 @@ impl Interp {
                 let Obj::Model(m) = &mut *o else {
                     unreachable!()
                 };
-                let x = model_input(m, &batch)?;
+                let x = model_input(m, &batch, "forward")?;
                 Action::Value(Value::Tensor(m.forward(&x)))
             }
             ("model", "backward") => {
@@ -1012,6 +1012,22 @@ impl Interp {
                 let Obj::Model(m) = &mut *o else {
                     unreachable!()
                 };
+                match m.output_shape() {
+                    Some(out) if out == grad.shape() => {}
+                    Some(out) => {
+                        return Err(rt(format!(
+                            "backward() got a gradient of shape {} but the last forward() \
+                             output has shape {out}",
+                            grad.shape()
+                        )))
+                    }
+                    None => {
+                        return Err(rt(format!(
+                            "backward() got a gradient of shape {} before any forward()",
+                            grad.shape()
+                        )))
+                    }
+                }
                 m.backward(&grad);
                 Action::None
             }
@@ -1045,7 +1061,7 @@ impl Interp {
                 let Obj::Model(m) = &mut *o else {
                     unreachable!()
                 };
-                let logits = m.forward(&model_input(m, &batch)?);
+                let logits = m.forward(&model_input(m, &batch, "accuracy")?);
                 Action::Value(Value::Float(accuracy(&logits, &batch.y) as f64))
             }
             ("optimizer", "step") => {
@@ -1156,6 +1172,7 @@ impl Interp {
                 };
                 let batch_val = a.req(1, "forward")?;
                 let batch = as_batch(&batch_val)?;
+                check_loss_targets(&preds, &batch.y)?;
                 let mut o = rc.borrow_mut();
                 let Obj::Loss(loss) = &mut *o else {
                     unreachable!()
@@ -1167,7 +1184,10 @@ impl Interp {
                 let Obj::Loss(loss) = &mut *o else {
                     unreachable!()
                 };
-                Action::Value(Value::Tensor(loss.backward()))
+                let grad = loss
+                    .try_backward()
+                    .ok_or_else(|| rt("backward() called on a loss before its forward()"))?;
+                Action::Value(Value::Tensor(grad))
             }
             ("swa", "update") | ("swa", "update_buggy") => {
                 let net = a.req(0, name)?;
@@ -1541,9 +1561,41 @@ fn as_batch(v: &Value) -> Result<Batch, FlorError> {
 
 /// Prepares a batch's features for a model: token models get the raw id
 /// matrix; feature models get it as-is too — the distinction lives in the
-/// dataset that produced the batch.
-fn model_input(_m: &flor_ml::Sequential, batch: &Batch) -> Result<Tensor, FlorError> {
-    Ok(batch.x.clone())
+/// dataset that produced the batch. A model whose first layer fixes its
+/// input width rejects features of another width here, as a runtime error
+/// naming `method`, instead of tripping the matmul shape assert.
+fn model_input(m: &flor_ml::Sequential, batch: &Batch, method: &str) -> Result<Tensor, FlorError> {
+    let x = &batch.x;
+    if let Some(width) = m.input_width() {
+        if x.shape().rank() != 2 || x.shape().dim(1) != width {
+            return Err(rt(format!(
+                "{method}() got features of shape {} but the model takes (*, {width})",
+                x.shape()
+            )));
+        }
+    }
+    Ok(x.clone())
+}
+
+/// Checks `criterion.forward(preds, batch)` arguments that
+/// `ops::cross_entropy` asserts on: a `[rows, classes]` logits matrix, one
+/// target per row, and every target a valid column.
+fn check_loss_targets(preds: &Tensor, targets: &[usize]) -> Result<(), FlorError> {
+    let shape = preds.shape();
+    if shape.rank() != 2 || shape.dim(0) != targets.len() {
+        return Err(rt(format!(
+            "forward() got logits of shape {shape} for a batch of {} targets",
+            targets.len()
+        )));
+    }
+    match targets.iter().max() {
+        Some(&t) if t >= shape.dim(1) => Err(rt(format!(
+            "forward() got target class {t} of a batch of {} targets, out of range for \
+             logits of shape {shape}",
+            targets.len()
+        ))),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]

@@ -683,6 +683,56 @@ mod tests {
         }
     }
 
+    /// Probes that hand `flor-ml` mismatched shapes (or call a backward
+    /// before its forward), with the fragments the error must name.
+    const BAD_SHAPE_PROBES: [(&str, [&str; 3]); 5] = [
+        (
+            "log(\"bad\", mlp(input=5, seed=1).forward(batch).norm())",
+            ["forward()", "(20, 8)", "(*, 5)"],
+        ),
+        (
+            "log(\"bad\", net.backward(mlp(input=8, classes=5, seed=1).forward(batch)))",
+            ["backward()", "(20, 5)", "(20, 3)"],
+        ),
+        (
+            "log(\"bad\", mlp(input=8, seed=1).backward(grad))",
+            ["backward()", "(20, 3)", "before any forward()"],
+        ),
+        (
+            "log(\"bad\", criterion.forward(mlp(input=8, classes=1, seed=1).forward(batch), batch))",
+            ["forward()", "20 targets", "(20, 1)"],
+        ),
+        (
+            "log(\"bad\", cross_entropy().backward())",
+            ["backward()", "loss", "before its forward()"],
+        ),
+    ];
+
+    #[test]
+    fn bad_shape_probes_are_runtime_errors_not_panics() {
+        let root = tmproot("bad-shape");
+        record(TRAIN_SRC, &opts_exact(&root)).unwrap();
+        for (probe, fragments) in BAD_SHAPE_PROBES {
+            let probed = TRAIN_SRC.replace(
+                "        optimizer.step()\n",
+                &format!("        optimizer.step()\n        {probe}\n"),
+            );
+            assert_ne!(probed, TRAIN_SRC);
+            for workers in [1, 2] {
+                let Err(err) = replay(&probed, &root, &ReplayOptions::with_stealing(workers))
+                else {
+                    panic!("{probe} must fail the replay");
+                };
+                let msg = err.to_string();
+                assert!(matches!(err, FlorError::Runtime(_)), "{probe}: {err:?}");
+                for f in fragments {
+                    assert!(msg.contains(f), "{probe}: {msg:?} lacks {f:?}");
+                }
+                assert!(!msg.contains("panicked"), "{probe}: {msg}");
+            }
+        }
+    }
+
     #[test]
     fn unchanged_replay_matches_record_exactly() {
         let root = tmproot("unchanged");

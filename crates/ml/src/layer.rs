@@ -11,7 +11,8 @@ use flor_tensor::{init, ops, Pcg64, Shape, Tensor};
 ///
 /// Layers are stateful: `forward` caches activations; `backward` *accumulates*
 /// into parameter gradients and returns the gradient with respect to the
-/// layer input.
+/// layer input (`backward_params` skips that return value where it would be
+/// discarded).
 pub trait Layer {
     /// Forward pass. Caches anything backward will need.
     fn forward(&mut self, x: &Tensor) -> Tensor;
@@ -21,6 +22,20 @@ pub trait Layer {
     /// Must be called after `forward` with a gradient of the same shape as
     /// the forward output.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// Backward pass for a model's first layer: accumulates parameter
+    /// gradients exactly as [`Layer::backward`] does, but may skip `d loss /
+    /// d x`, which nothing reads there. The default runs `backward`.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward(grad_out);
+    }
+
+    /// Feature width `forward` requires of a `[batch, width]` input, for
+    /// layers that fix one. Lets callers reject a mismatched input before
+    /// it reaches the library's shape asserts.
+    fn input_width(&self) -> Option<usize> {
+        None
+    }
 
     /// Visits this layer's parameters mutably.
     fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
@@ -79,22 +94,31 @@ impl Linear {
 impl Layer for Linear {
     fn forward(&mut self, x: &Tensor) -> Tensor {
         self.cached_input = Some(x.clone());
-        x.matmul(&self.weight.value)
-            .add_row_broadcast(&self.bias.value)
+        let mut y = x.matmul(&self.weight.value);
+        y.add_row_broadcast_inplace(&self.bias.value);
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        grad_out.matmul(&self.weight.value.transpose())
+    }
+
+    fn input_width(&self) -> Option<usize> {
+        Some(self.weight.value.shape().dim(0))
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let x = self
             .cached_input
             .as_ref()
             .expect("Linear::backward called before forward");
         if !self.weight.frozen {
-            self.weight.grad.axpy(1.0, &x.transpose().matmul(grad_out));
+            self.weight.grad.axpy(1.0, &x.matmul_tn(grad_out));
         }
         if !self.bias.frozen {
             self.bias.grad.axpy(1.0, &grad_out.sum_rows());
         }
-        grad_out.matmul(&self.weight.value.transpose())
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -695,6 +719,14 @@ impl Layer for FrozenBackbone {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         self.proj.backward(grad_out)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.proj.backward_params(grad_out);
+    }
+
+    fn input_width(&self) -> Option<usize> {
+        self.proj.input_width()
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -29,11 +29,14 @@ impl CrossEntropyLoss {
     /// # Panics
     /// Panics if called before `forward`.
     pub fn backward(&mut self) -> Tensor {
-        let (probs, targets) = self
-            .cached
-            .as_ref()
-            .expect("CrossEntropyLoss::backward called before forward");
-        ops::cross_entropy_backward(probs, targets)
+        self.try_backward()
+            .expect("CrossEntropyLoss::backward called before forward")
+    }
+
+    /// [`CrossEntropyLoss::backward`], or `None` before the first `forward`.
+    pub fn try_backward(&mut self) -> Option<Tensor> {
+        let (probs, targets) = self.cached.as_ref()?;
+        Some(ops::cross_entropy_backward(probs, targets))
     }
 }
 

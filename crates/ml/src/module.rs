@@ -1,7 +1,7 @@
 //! Parameters, the layer container, and `state_dict`-style checkpointing.
 
 use crate::layer::Layer;
-use flor_tensor::Tensor;
+use flor_tensor::{Shape, Tensor};
 
 /// A trainable (or frozen) parameter: a value tensor, its gradient
 /// accumulator, and a name used in state dicts.
@@ -125,6 +125,9 @@ impl FromIterator<(String, Tensor)> for StateDict {
 pub struct Sequential {
     name: String,
     layers: Vec<Box<dyn Layer>>,
+    /// Shape of the last `forward` output: the gradient shape `backward`
+    /// takes against the activations the layers cached.
+    last_output: Option<Shape>,
 }
 
 impl Sequential {
@@ -133,6 +136,7 @@ impl Sequential {
         Sequential {
             name: name.into(),
             layers: Vec::new(),
+            last_output: None,
         }
     }
 
@@ -152,23 +156,42 @@ impl Sequential {
         self.layers.len()
     }
 
+    /// Feature width the first layer requires of a `[batch, width]`
+    /// input, if it fixes one (`Linear` does; embeddings and convolution
+    /// adapters do not).
+    pub fn input_width(&self) -> Option<usize> {
+        self.layers.first()?.input_width()
+    }
+
+    /// Shape of the last [`Sequential::forward`] output, which is the shape
+    /// [`Sequential::backward`] requires of its gradient; `None` before the
+    /// first forward.
+    pub fn output_shape(&self) -> Option<&Shape> {
+        self.last_output.as_ref()
+    }
+
     /// Forward pass through every layer, caching activations for backward.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         let mut cur = x.clone();
         for layer in &mut self.layers {
             cur = layer.forward(&cur);
         }
+        self.last_output = Some(cur.shape().clone());
         cur
     }
 
-    /// Backward pass: accumulates parameter gradients and returns the
-    /// gradient with respect to the model input.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    /// Backward pass: accumulates parameter gradients. The gradient with
+    /// respect to the model input is never computed: no training step reads
+    /// it, and for a `Linear` first layer it would cost a full `g · Wᵀ`.
+    pub fn backward(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
         let mut grad = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
+        for layer in rest.iter_mut().rev() {
             grad = layer.backward(&grad);
         }
-        grad
+        first.backward_params(&grad);
     }
 
     /// Visits every parameter mutably (optimizers use this).
@@ -356,6 +379,50 @@ mod tests {
         let mut b = tiny_model(42);
         let x = Tensor::ones([2, 4]);
         assert_eq!(a.forward(&x), b.forward(&x));
+    }
+
+    /// Parameter gradients after `Sequential::backward` (which skips the
+    /// first layer's input gradient) are bit-equal to a per-layer backward
+    /// that still computes it.
+    #[test]
+    fn backward_matches_full_per_layer_backward() {
+        use crate::models;
+        use flor_tensor::init;
+        type Build = fn(&mut Pcg64) -> Sequential;
+        let builds: [Build; 3] = [
+            |rng| models::mlp(12, 20, 3, 3, rng),
+            |rng| models::resnet_mini(12, 20, 3, 2, rng),
+            |rng| models::finetune_net(12, 20, 3, 100, rng),
+        ];
+        for (b, build) in builds.iter().enumerate() {
+            let mut rng = Pcg64::seeded(7 + b as u64);
+            let x = init::uniform([9, 12], -1.0, 1.0, &mut rng);
+            let (mut fast, mut full) = (build(&mut Pcg64::seeded(3)), build(&mut Pcg64::seeded(3)));
+            let g = init::uniform([9, 3], -1.0, 1.0, &mut rng);
+            assert_eq!(fast.forward(&x), full.forward(&x));
+            fast.backward(&g);
+            let mut grad = g.clone();
+            for layer in full.layers.iter_mut().rev() {
+                grad = layer.backward(&grad);
+            }
+            assert_eq!(grad.shape().dims(), &[9, 12]);
+            let grads = |m: &Sequential| {
+                let mut out = Vec::new();
+                m.visit_params(&mut |p| out.extend(p.grad.data().iter().map(|v| v.to_bits())));
+                out
+            };
+            assert_eq!(grads(&fast), grads(&full), "model {b}");
+        }
+    }
+
+    #[test]
+    fn input_width_and_output_shape() {
+        let mut m = tiny_model(1);
+        assert_eq!(m.input_width(), Some(4));
+        assert_eq!(m.output_shape(), None);
+        m.forward(&Tensor::zeros([5, 4]));
+        assert_eq!(m.output_shape().map(|s| s.dims()), Some(&[5, 3][..]));
+        assert_eq!(Sequential::new("empty").input_width(), None);
     }
 
     #[test]

@@ -297,6 +297,57 @@ fn bad_item_probe_is_an_engine_error_not_a_worker_panic() {
 }
 
 #[test]
+fn bad_shape_probes_are_engine_errors_not_worker_panics() {
+    let root = tmproot("bad-shape");
+    let reg = Registry::open(&root).unwrap();
+    let src = train_src(3, 0.1);
+    reg.record_run("r", &src, no_adaptive).unwrap();
+    // (probe, fragments the error must name) against dim=8, classes=2,
+    // batches of 20.
+    let probes = [
+        (
+            "log(\"bad\", mlp(input=5, seed=1).forward(batch).norm())",
+            ["forward()", "(20, 8)", "(*, 5)"],
+        ),
+        (
+            "log(\"bad\", net.backward(mlp(input=8, classes=5, seed=1).forward(batch)))",
+            ["backward()", "(20, 5)", "(20, 2)"],
+        ),
+        (
+            "log(\"bad\", mlp(input=8, seed=1).backward(grad))",
+            ["backward()", "(20, 2)", "before any forward()"],
+        ),
+        (
+            "log(\"bad\", criterion.forward(mlp(input=8, classes=1, seed=1).forward(batch), batch))",
+            ["forward()", "20 targets", "(20, 1)"],
+        ),
+        (
+            "log(\"bad\", cross_entropy().backward())",
+            ["backward()", "loss", "before its forward()"],
+        ),
+    ];
+    for (probe, fragments) in probes {
+        let bad = src.replace(
+            "        optimizer.step()\n",
+            &format!("        optimizer.step()\n        {probe}\n"),
+        );
+        assert_ne!(bad, src);
+        let err = reg.query("r", &bad, 2).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            matches!(err, flor_registry::RegistryError::Engine(_)),
+            "{probe}: {err:?}"
+        );
+        for f in fragments {
+            assert!(msg.contains(f), "{probe}: {msg:?} lacks {f:?}");
+        }
+        assert!(!msg.contains("panicked"), "{probe}: {msg}");
+    }
+    let ok = reg.query("r", &probed(&src), 2).unwrap();
+    assert!(ok.anomalies.is_empty(), "{:?}", ok.anomalies);
+}
+
+#[test]
 fn scheduler_completes_queued_queries_across_runs() {
     let reg_root = tmproot("sched");
     let reg = Arc::new(Registry::open(&reg_root).unwrap());

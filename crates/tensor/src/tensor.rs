@@ -1,6 +1,7 @@
 //! The dense tensor type: contiguous row-major `f32` storage over a
 //! refcounted, copy-on-write slab.
 
+use crate::kernel::{self, Lhs};
 use crate::shape::Shape;
 use bytes::BufMut;
 use std::fmt;
@@ -233,13 +234,18 @@ impl Tensor {
         }
     }
 
-    /// Adds a bias vector to every row of a `[rows, cols]` matrix.
+    /// Adds a bias vector to every row of a `[rows, cols]` matrix, in place
+    /// (the `Linear` forward adds its bias to the fresh matmul output).
     ///
     /// # Panics
     /// Panics unless `self` is rank-2 and `bias` is rank-1 of length `cols`.
-    pub fn add_row_broadcast(&self, bias: &Tensor) -> Tensor {
-        assert_eq!(self.shape.rank(), 2, "add_row_broadcast requires a matrix");
-        let (rows, cols) = (self.shape.dim(0), self.shape.dim(1));
+    pub fn add_row_broadcast_inplace(&mut self, bias: &Tensor) {
+        assert_eq!(
+            self.shape.rank(),
+            2,
+            "add_row_broadcast_inplace requires a matrix"
+        );
+        let cols = self.shape.dim(1);
         assert_eq!(
             bias.shape.dims(),
             &[cols],
@@ -247,15 +253,13 @@ impl Tensor {
             bias.shape,
             cols
         );
-        let mut data = self.data().to_vec();
-        for r in 0..rows {
-            for c in 0..cols {
-                data[r * cols + c] += bias.data[c];
-            }
+        if cols == 0 {
+            return;
         }
-        Tensor {
-            shape: self.shape.clone(),
-            data: Arc::new(data),
+        for row in self.data_mut().chunks_exact_mut(cols) {
+            for (x, &b) in row.iter_mut().zip(bias.data.iter()) {
+                *x += b;
+            }
         }
     }
 
@@ -335,6 +339,10 @@ impl Tensor {
 
     /// Matrix product of `[m, k] × [k, n] → [m, n]`.
     ///
+    /// Each output element sums its products in ascending `k` order,
+    /// skipping zero left operands, with no fused multiply-add; the result
+    /// is bit-identical on every host (see the `kernel` module).
+    ///
     /// # Panics
     /// Panics unless both operands are rank-2 with compatible inner dims.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
@@ -347,35 +355,65 @@ impl Tensor {
             "matmul inner dims differ: {} vs {}",
             self.shape, other.shape
         );
+        let lhs = Lhs {
+            data: &self.data,
+            rows: m,
+            cols: k,
+            row_stride: k,
+            col_stride: 1,
+        };
         let mut out = vec![0.0f32; m * n];
-        // ikj loop order: streams over rhs rows, friendly to the cache.
-        for i in 0..m {
-            for p in 0..k {
-                let a = self.data[i * k + p];
-                if a == 0.0 {
-                    continue;
-                }
-                let rhs_row = &other.data[p * n..(p + 1) * n];
-                let out_row = &mut out[i * n..(i + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
-            }
-        }
+        kernel::gemm(lhs, &other.data, n, &mut out);
         Tensor::new([m, n], out)
     }
 
-    /// Matrix transpose `[m, n] → [n, m]`.
+    /// Transposed product `selfᵀ × other`: `[k, m]ᵀ × [k, n] → [m, n]`,
+    /// reading `self` in place instead of materializing its transpose.
+    /// Bit-identical to `self.transpose().matmul(other)`. This is the
+    /// weight gradient `xᵀ · g` of a linear layer.
+    ///
+    /// # Panics
+    /// Panics unless both operands are rank-2 with the same row count.
+    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
+        assert_eq!(self.shape.rank(), 2, "matmul_tn lhs must be a matrix");
+        assert_eq!(other.shape.rank(), 2, "matmul_tn rhs must be a matrix");
+        let (k, m) = (self.shape.dim(0), self.shape.dim(1));
+        let (k2, n) = (other.shape.dim(0), other.shape.dim(1));
+        assert_eq!(
+            k, k2,
+            "matmul_tn row counts differ: {} vs {}",
+            self.shape, other.shape
+        );
+        let lhs = Lhs {
+            data: &self.data,
+            rows: m,
+            cols: k,
+            row_stride: 1,
+            col_stride: m,
+        };
+        let mut out = vec![0.0f32; m * n];
+        kernel::gemm(lhs, &other.data, n, &mut out);
+        Tensor::new([m, n], out)
+    }
+
+    /// Matrix transpose `[m, n] → [n, m]`, copied in 16×16 tiles so that
+    /// both the reads and the column-strided writes stay in cache.
     ///
     /// # Panics
     /// Panics unless `self` is rank-2.
     pub fn transpose(&self) -> Tensor {
+        const TILE: usize = 16;
         assert_eq!(self.shape.rank(), 2, "transpose requires a matrix");
         let (m, n) = (self.shape.dim(0), self.shape.dim(1));
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
+        for i0 in (0..m).step_by(TILE) {
+            for j0 in (0..n).step_by(TILE) {
+                let j1 = (j0 + TILE).min(n);
+                for i in i0..(i0 + TILE).min(m) {
+                    for (j, &v) in (j0..j1).zip(&self.data[i * n + j0..i * n + j1]) {
+                        out[j * m + i] = v;
+                    }
+                }
             }
         }
         Tensor::new([n, m], out)
@@ -483,6 +521,109 @@ impl fmt::Debug for Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Pcg64;
+    use proptest::prelude::*;
+
+    /// The original `matmul`: plain ikj with the zero skip. Bit-exact
+    /// oracle for the vectorised kernel.
+    fn matmul_oracle(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k) = (a.shape.dim(0), a.shape.dim(1));
+        let n = b.shape.dim(1);
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for p in 0..k {
+                let av = a.data[i * k + p];
+                if av == 0.0 {
+                    continue;
+                }
+                let rhs_row = &b.data[p * n..(p + 1) * n];
+                let out_row = &mut out[i * n..(i + 1) * n];
+                for (o, &bv) in out_row.iter_mut().zip(rhs_row) {
+                    *o += av * bv;
+                }
+            }
+        }
+        Tensor::new([m, n], out)
+    }
+
+    /// The original column-strided `transpose`.
+    fn transpose_oracle(a: &Tensor) -> Tensor {
+        let (m, n) = (a.shape.dim(0), a.shape.dim(1));
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                out[j * m + i] = a.data[i * n + j];
+            }
+        }
+        Tensor::new([n, m], out)
+    }
+
+    /// `matmul` through the baseline build of the kernel body, so the
+    /// non-AVX2 path runs even on an AVX2 host.
+    fn matmul_baseline(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k) = (a.shape.dim(0), a.shape.dim(1));
+        let n = b.shape.dim(1);
+        let lhs = Lhs {
+            data: &a.data,
+            rows: m,
+            cols: k,
+            row_stride: k,
+            col_stride: 1,
+        };
+        let mut out = vec![0.0f32; m * n];
+        kernel::gemm_body(lhs, &b.data, n, &mut out);
+        Tensor::new([m, n], out)
+    }
+
+    /// A matrix mixing ReLU-style exact zeros, signed zeros, subnormals,
+    /// infinities and ordinary values.
+    fn awkward_matrix(rows: usize, cols: usize, rng: &mut Pcg64) -> Tensor {
+        let data = (0..rows * cols)
+            .map(|_| match rng.below(20) {
+                0..=7 => 0.0,
+                8 => -0.0,
+                9 => {
+                    f32::from_bits(1 + rng.below(0x007f_ffff)) * [1.0, -1.0][rng.below(2) as usize]
+                }
+                10 => [f32::INFINITY, f32::NEG_INFINITY][rng.below(2) as usize],
+                _ => rng.uniform(-2.0, 2.0),
+            })
+            .collect();
+        Tensor::new([rows, cols], data)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // 1–70 in every dimension covers rows shorter than one vector and
+        // the scalar tails after the 4-, 8- and 16-lane vector loops.
+        #[test]
+        fn kernels_are_bit_identical_to_the_oracles(
+            m in 1usize..71, k in 1usize..71, n in 1usize..71, seed in any::<u64>()
+        ) {
+            let mut rng = Pcg64::seeded(seed);
+            let a = awkward_matrix(m, k, &mut rng);
+            let b = awkward_matrix(k, n, &mut rng);
+            let want = bits(&matmul_oracle(&a, &b));
+            prop_assert_eq!(bits(&a.matmul(&b)), want.clone(), "dispatched matmul");
+            prop_assert_eq!(bits(&matmul_baseline(&a, &b)), want, "baseline matmul");
+
+            let at = a.transpose();
+            prop_assert_eq!(bits(&at), bits(&transpose_oracle(&a)), "tiled transpose");
+            // aᵀ is [k, m]; its transposed product with a [k, n] operand is
+            // a · b again, read without a transposed copy.
+            let c = awkward_matrix(k, n, &mut rng);
+            prop_assert_eq!(
+                bits(&at.matmul_tn(&c)),
+                bits(&matmul_oracle(&transpose_oracle(&at), &c)),
+                "matmul_tn"
+            );
+        }
+    }
 
     #[test]
     fn construction_and_access() {
@@ -576,9 +717,11 @@ mod tests {
 
     #[test]
     fn add_row_broadcast() {
-        let a = Tensor::new([2, 2], vec![1., 2., 3., 4.]);
-        let b = Tensor::from_slice(&[10., 20.]);
-        assert_eq!(a.add_row_broadcast(&b).data(), &[11., 22., 13., 24.]);
+        let mut a = Tensor::new([2, 2], vec![1., 2., 3., 4.]);
+        a.add_row_broadcast_inplace(&Tensor::from_slice(&[10., 20.]));
+        assert_eq!(a.data(), &[11., 22., 13., 24.]);
+        let mut empty = Tensor::zeros([3, 0]);
+        empty.add_row_broadcast_inplace(&Tensor::zeros([0]));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 #   ./tools/bench.sh            # full run: criterion benches + BENCH_*.json
 #   ./tools/bench.sh --quick    # CI smoke: quick criterion pass + quick JSON
 #
-# Emits eight committed artifacts at the repo root so future PRs can be
+# Emits nine committed artifacts at the repo root so future PRs can be
 # held to the trajectory:
 #   BENCH_record.json       — caller-thread submit latency per materialization
 #                             strategy (zero-copy vs pre-refactor eager copies)
@@ -31,6 +31,10 @@
 #                             closed-loop clients under an emulated 2ms RTT,
 #                             admission-control overhead and shedding, and
 #                             fresh-replay TTFE beside a jammed slow reader
+#   BENCH_tensor.json       — tensor kernels: ns per MLP SGD step at the
+#                             e2ebench base and wide shapes, plus ns per call
+#                             of a hidden layer's forward, weight-gradient and
+#                             input-gradient products
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -66,6 +70,7 @@ INTERP_OUT=BENCH_interp.json
 SLICE_OUT=BENCH_slice.json
 STORE_TIER_OUT=BENCH_store_tier.json
 SERVE_OUT=BENCH_serve.json
+TENSOR_OUT=BENCH_tensor.json
 if [[ "$QUICK" == "1" ]]; then
     RECORD_OUT=target/BENCH_record.quick.json
     REPLAY_OUT=target/BENCH_replay.quick.json
@@ -75,6 +80,7 @@ if [[ "$QUICK" == "1" ]]; then
     SLICE_OUT=target/BENCH_slice.quick.json
     STORE_TIER_OUT=target/BENCH_store_tier.quick.json
     SERVE_OUT=target/BENCH_serve.quick.json
+    TENSOR_OUT=target/BENCH_tensor.quick.json
 fi
 FLOR_BENCH_QUICK="$QUICK" run cargo run --release -p flor-bench --bin bench_record_json -- "$RECORD_OUT"
 FLOR_BENCH_QUICK="$QUICK" run cargo run --release -p flor-bench --bin bench_replay_json -- "$REPLAY_OUT"
@@ -84,6 +90,7 @@ FLOR_BENCH_QUICK="$QUICK" run cargo run --release -p flor-bench --bin bench_inte
 FLOR_BENCH_QUICK="$QUICK" run cargo run --release -p flor-bench --bin bench_slice -- "$SLICE_OUT"
 FLOR_BENCH_QUICK="$QUICK" run cargo run --release -p flor-bench --bin bench_store_tier -- "$STORE_TIER_OUT"
 FLOR_BENCH_QUICK="$QUICK" run cargo run --release -p flor-bench --bin bench_serve -- "$SERVE_OUT"
+FLOR_BENCH_QUICK="$QUICK" run cargo run --release -p flor-bench --bin bench_tensor -- "$TENSOR_OUT"
 
 echo
-echo "bench: OK ($RECORD_OUT, $REPLAY_OUT, $SCHED_OUT, $COMPRESS_OUT, $INTERP_OUT, $SLICE_OUT, $STORE_TIER_OUT, $SERVE_OUT written)"
+echo "bench: OK ($RECORD_OUT, $REPLAY_OUT, $SCHED_OUT, $COMPRESS_OUT, $INTERP_OUT, $SLICE_OUT, $STORE_TIER_OUT, $SERVE_OUT, $TENSOR_OUT written)"
